@@ -146,17 +146,24 @@ func SolveTraced(p Problem, o obs.Observer) Result {
 	if o != nil {
 		start = clk().Now()
 	}
-	res, iters := solve(p)
+	res, st := solve(p)
 	if h := solveHook.Load(); h != nil {
 		(*h)(&res)
 	}
 	if o != nil {
-		obs.LPSolve(o, res.Status.String(), iters, clk().Now().Sub(start))
+		obs.LPSolve(o, res.Status.String(), st.iters, clk().Now().Sub(start))
 	}
 	return res
 }
 
-func solve(p Problem) (Result, int) {
+// solveStats is one solve's pivot count and tableau shape.
+type solveStats struct {
+	iters       int // simplex pivots over both phases
+	cols        int // tableau columns, excluding the RHS
+	artificials int // phase-1 artificial columns
+}
+
+func solve(p Problem) (Result, solveStats) {
 	if len(p.Objective) != p.NumVars {
 		panic(fmt.Sprintf("lp: objective has %d coefficients for %d variables", len(p.Objective), p.NumVars))
 	}
@@ -209,7 +216,13 @@ func solve(p Problem) (Result, int) {
 		expandInto(a, c.Coef)
 		r := c.RHS
 		rl := c.Rel
-		if r < 0 {
+		// Normalize to a nonnegative RHS. A GE row with RHS 0 is negated
+		// too: as an LE row it needs only a slack column, where a GE row
+		// needs a slack and a phase-1 artificial. The margin LPs of the
+		// exact convex scan are all such rows plus one EQ row, so this
+		// keeps their tableau about m columns wide instead of 2m and their
+		// phase 1 down to a single artificial.
+		if r < 0 || (r == 0 && rl == GE) {
 			for j := range a {
 				a[j] = -a[j]
 			}
@@ -270,7 +283,7 @@ func solve(p Problem) (Result, int) {
 	}
 
 	// Phase 1: minimize sum of artificials == maximize -(sum of artificials).
-	iters := 0
+	st := solveStats{cols: total, artificials: nArt}
 	if nArt > 0 {
 		obj := t[m]
 		for j := 0; j <= total; j++ {
@@ -285,17 +298,15 @@ func solve(p Problem) (Result, int) {
 				addRow(obj, t[i], 1)
 			}
 		}
-		ok, n := simplexIterate(t, basis, total, m)
-		iters += n
-		if !ok {
-			// Phase 1 of a bounded-below objective cannot be unbounded, but be
-			// defensive anyway.
-			return Result{Status: Infeasible}, iters
-		}
+		// The phase-1 objective is bounded above by 0, so an "unbounded"
+		// verdict only means rounding noise left a positive reduced cost on a
+		// column with no positive entry; the residual test below decides.
+		_, n := simplexIterate(t, basis, total, m)
+		st.iters += n
 		// With this tableau convention the objective row's RHS equals the
 		// negated objective value, so phase-1 optimum = -t[m][total].
 		if t[m][total] > feasEps {
-			return Result{Status: Infeasible}, iters
+			return Result{Status: Infeasible}, st
 		}
 		// Drive remaining artificials out of the basis where possible.
 		for i := 0; i < m; i++ {
@@ -351,9 +362,9 @@ func solve(p Problem) (Result, int) {
 	}
 
 	ok, n := simplexIterate(t, basis, total, m)
-	iters += n
+	st.iters += n
 	if !ok {
-		return Result{Status: Unbounded}, iters
+		return Result{Status: Unbounded}, st
 	}
 
 	// Extract solution.
@@ -374,7 +385,7 @@ func solve(p Problem) (Result, int) {
 	for i, c := range p.Objective {
 		val += c * x[i]
 	}
-	return Result{Status: Optimal, X: x, Value: val}, iters
+	return Result{Status: Optimal, X: x, Value: val}, st
 }
 
 // addRow does dst += f * src over the full tableau width.

@@ -328,3 +328,77 @@ func TestManyRedundantEqualities(t *testing.T) {
 		t.Fatalf("redundant equalities: %v %v, want optimal 3", res.Status, res.Value)
 	}
 }
+
+// TestZeroRHSGEBuildsNoArtificial pins the tableau shape of the exact convex
+// scan's margin LP: rows that are LE or GE with RHS 0, plus one EQ row. The
+// zero-RHS GE rows are negated into LE rows, which need only a slack column,
+// so phase 1 carries exactly one artificial (the EQ row's) and the tableau
+// is about m columns wide rather than 2m.
+func TestZeroRHSGEBuildsNoArtificial(t *testing.T) {
+	p := Problem{
+		NumVars:   3,
+		Objective: []float64{0, 0, 1},
+		Constraints: []Constraint{
+			{Coef: []float64{1, 1, 0}, Rel: EQ, RHS: 1},
+			{Coef: []float64{0.5, -0.25, -1}, Rel: GE, RHS: 0},
+			{Coef: []float64{-0.75, 0.5, -1}, Rel: GE, RHS: 0},
+			{Coef: []float64{0.25, 0.5, -1}, Rel: GE, RHS: 0},
+			{Coef: []float64{1, 0, 0}, Rel: LE, RHS: 0.9},
+		},
+		Free: []bool{false, false, true},
+	}
+	res, st := solve(p)
+	if st.artificials != 1 {
+		t.Fatalf("%d artificial columns, want 1", st.artificials)
+	}
+	// 4 standard columns (δ is split in two), one slack per inequality.
+	if st.cols != 4+4+1 {
+		t.Fatalf("%d tableau columns, want 9", st.cols)
+	}
+	// The optimum must match FuzzLP's oracle, which takes nonnegative
+	// variables only, so δ is split into δ⁺ − δ⁻ there.
+	if res.Status != Optimal {
+		t.Fatalf("status %v", res.Status)
+	}
+	br := bruteForce(Problem{
+		NumVars:   4,
+		Objective: []float64{0, 0, 1, -1},
+		Constraints: []Constraint{
+			{Coef: []float64{1, 1, 0, 0}, Rel: EQ, RHS: 1},
+			{Coef: []float64{0.5, -0.25, -1, 1}, Rel: GE, RHS: 0},
+			{Coef: []float64{-0.75, 0.5, -1, 1}, Rel: GE, RHS: 0},
+			{Coef: []float64{0.25, 0.5, -1, 1}, Rel: GE, RHS: 0},
+			{Coef: []float64{1, 0, 0, 0}, Rel: LE, RHS: 0.9},
+		},
+	})
+	if !approx(res.Value, br.bestTight, 1e-9) {
+		t.Fatalf("optimum %v, brute force %v", res.Value, br.bestTight)
+	}
+}
+
+// TestPhaseOneNoiseIsNotInfeasible: phase 1 minimizes a sum of artificials,
+// which is bounded, so a column whose reduced cost is positive only through
+// rounding and which has no positive entry must not end phase 1 as
+// "infeasible". This badly scaled but feasible (indeed unbounded) problem
+// used to be reported infeasible that way.
+func TestPhaseOneNoiseIsNotInfeasible(t *testing.T) {
+	p := Problem{
+		NumVars:   3,
+		Objective: []float64{0.02, 0.02, 0.02},
+		Constraints: []Constraint{
+			{Coef: []float64{0.02, 150, -0.02}, Rel: LE, RHS: 0.02},
+			{Coef: []float64{0.02, 0.02, -0.02}, Rel: LE, RHS: -0.02},
+			{Coef: []float64{0.02, 0.02, -0.02}, Rel: LE, RHS: 0.02},
+			{Coef: []float64{0.02, 150, -0.02}, Rel: LE, RHS: -0.02},
+			{Coef: []float64{-150, 0.02, 0.02}, Rel: LE, RHS: 0.02},
+			{Coef: []float64{-0.02, 0.02, -150}, Rel: LE, RHS: 0.02},
+			{Coef: []float64{-150, -150, 0.02}, Rel: LE, RHS: 0.02},
+			{Coef: []float64{150, -150, -150}, Rel: LE, RHS: -150},
+			{Coef: []float64{-150, -150, 4}, Rel: LE, RHS: -0.02},
+			{Coef: []float64{-0.02, 0.02, -150}, Rel: LE, RHS: -0.02},
+		},
+	}
+	if res := Solve(p); res.Status != Unbounded {
+		t.Fatalf("status %v, want unbounded (x = (t, 0, t+1) is feasible for every t >= 1)", res.Status)
+	}
+}
