@@ -76,7 +76,6 @@ func main() {
 		traceBytes  = flag.Int64("trace-max-bytes", server.DefaultTraceMaxBytes, "size cap per session JSONL trace file; past it the file ends with a _truncated marker (<0 = unlimited)")
 		maxInflight = flag.Int("max-inflight", 256, "maximum concurrent create/answer requests; excess requests queue up to -admission-timeout and are then shed with 503 (0 = unbounded)")
 		admTimeout  = flag.Duration("admission-timeout", 250*time.Millisecond, "how long an over-limit request may queue for admission before being shed")
-		par         = flag.Int("parallelism", 0, "preprocessing worker-pool degree per session; transcripts are bit-identical at any value (0 = GOMAXPROCS, 1 = serial)")
 		prepCache   = flag.Bool("preprocess-cache", true, "share one preprocessing cache (skyband, convex points, 2-d partitions) across all sessions")
 		prepBytes   = flag.Int64("preprocess-cache-max-bytes", 64<<20, "byte cap on memoized preprocessing values, evicted LRU (<=0 = unbounded)")
 	)
@@ -107,10 +106,6 @@ func main() {
 		band = ist.PreprocessCached(cache, ds.Points, *k)
 	} else {
 		band = ist.Preprocess(ds.Points, *k)
-	}
-	workers := *par
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	policy, err := wal.ParseSyncPolicy(*fsync)
@@ -185,7 +180,6 @@ func main() {
 		Metrics:          reg,
 		MaxInflight:      *maxInflight,
 		AdmissionTimeout: *admTimeout,
-		Parallelism:      workers,
 		PrepCache:        cache,
 	})
 	if err != nil {
@@ -200,8 +194,8 @@ func main() {
 	if cache != nil {
 		cacheState = fmt.Sprintf("%d entries warm", cache.Stats().Entries)
 	}
-	log.Printf("istserve: ready on %s (health at /healthz, readiness at /readyz, metrics at /metrics, profiles at /debug/pprof/, max %d sessions, %d in-flight, ttl %s, parallelism %d, preprocess cache %s)",
-		*addr, *maxSessions, *maxInflight, *ttl, workers, cacheState)
+	log.Printf("istserve: ready on %s (health at /healthz, readiness at /readyz, metrics at /metrics, profiles at /debug/pprof/, max %d sessions, %d in-flight, ttl %s, preprocess cache %s)",
+		*addr, *maxSessions, *maxInflight, *ttl, cacheState)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -1,8 +1,10 @@
 package ist
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,15 +13,15 @@ import (
 	"ist/internal/obs"
 )
 
-// This file is the facade-level determinism regression suite for the
-// parallel interaction engine and the shared preprocessing cache (DESIGN.md
-// §14): for every algorithm, every worker count, and cold/warm cache states,
-// the full interactive transcript — every question, the result, the question
-// count — and the complete observer event stream must be bit-identical to
-// the serial, uncached run.
+// This file is the facade-level determinism regression suite for
+// concurrent sessions and the shared preprocessing cache (DESIGN.md §14):
+// for every algorithm, sessions running side by side (as a server runs
+// them) and cold/warm cache states, the full interactive transcript — every
+// question, the result, the question count — and the complete observer event
+// stream must be bit-identical to a lone, uncached run.
 
-// runTranscript drives alg through a full session against hidden, capturing
-// the question transcript and the raw event stream.
+// runRecord is one session's question transcript, outcome and raw event
+// stream.
 type runRecord struct {
 	Questions [][2]Point
 	Index     int
@@ -34,8 +36,10 @@ func freezeLPClockFacade(t *testing.T) {
 	t.Cleanup(func() { lp.SetClock(nil) })
 }
 
-func runTranscript(t *testing.T, alg Algorithm, band []Point, k int, hidden Point, maxQ int) runRecord {
-	t.Helper()
+// runTranscript drives alg through a full session against hidden, capturing
+// the question transcript and the raw event stream. It reports failures as
+// errors so concurrent sessions can run it off the test goroutine.
+func runTranscript(alg Algorithm, band []Point, k int, hidden Point, maxQ int) (runRecord, error) {
 	rec := &obs.Recorder{}
 	opts := []SessionOption{WithObserver(rec)}
 	if maxQ > 0 {
@@ -46,7 +50,7 @@ func runTranscript(t *testing.T, alg Algorithm, band []Point, k int, hidden Poin
 	var r runRecord
 	for steps := 0; ; steps++ {
 		if steps > 10000 {
-			t.Fatal("session never finished")
+			return r, errors.New("session never finished")
 		}
 		p, q, done := s.Next()
 		if done {
@@ -54,12 +58,12 @@ func runTranscript(t *testing.T, alg Algorithm, band []Point, k int, hidden Poin
 		}
 		r.Questions = append(r.Questions, [2]Point{p, q})
 		if err := s.Answer(hidden.Dot(p) >= hidden.Dot(q)); err != nil {
-			t.Fatal(err)
+			return r, err
 		}
 	}
 	_, idx, err := s.Result()
 	if err != nil {
-		t.Fatal(err)
+		return r, err
 	}
 	r.Index = idx
 	r.Count = s.Questions()
@@ -67,7 +71,42 @@ func runTranscript(t *testing.T, alg Algorithm, band []Point, k int, hidden Poin
 		r.Certified = cert.Certified
 	}
 	r.Events = append([]obs.Event(nil), rec.Events()...)
+	return r, nil
+}
+
+// mustRun is runTranscript on the test goroutine.
+func mustRun(t *testing.T, alg Algorithm, band []Point, k int, hidden Point, maxQ int) runRecord {
+	t.Helper()
+	r, err := runTranscript(alg, band, k, hidden, maxQ)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return r
+}
+
+// runConcurrently runs n sessions of fresh algorithms from mk side by side,
+// the way a server runs concurrent users: they share the LP solver's scratch
+// pool, the exact scan's staging pool and, through mk, any preprocessing
+// cache.
+func runConcurrently(t *testing.T, n int, mk func() Algorithm, band []Point, k int, hidden Point, maxQ int) []runRecord {
+	t.Helper()
+	out := make([]runRecord, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = runTranscript(mk(), band, k, hidden, maxQ)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 func sameRun(t *testing.T, name string, want, got runRecord) {
@@ -96,8 +135,10 @@ func sameRun(t *testing.T, name string, want, got runRecord) {
 	}
 }
 
-// TestParallelismTranscriptInvariant checks every algorithm x worker-count
-// combination against the serial baseline.
+// TestParallelismTranscriptInvariant runs every algorithm in several
+// sessions at once and checks each against a lone run: sessions on a server
+// run in parallel and share the solver's pooled scratch, so no state may
+// leak from one session's LP solves into another's.
 func TestParallelismTranscriptInvariant(t *testing.T) {
 	freezeLPClockFacade(t)
 	rng := rand.New(rand.NewSource(11))
@@ -123,11 +164,8 @@ func TestParallelismTranscriptInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runTranscript(t, tc.make(), tc.band, k, tc.hidden, 0)
-			for _, workers := range []int{1, 2, 4, 8} {
-				alg := tc.make()
-				SetParallelism(alg, workers)
-				got := runTranscript(t, alg, tc.band, k, tc.hidden, 0)
+			want := mustRun(t, tc.make(), tc.band, k, tc.hidden, 0)
+			for _, got := range runConcurrently(t, 4, tc.make, tc.band, k, tc.hidden, 0) {
 				sameRun(t, tc.name, want, got)
 			}
 		})
@@ -136,8 +174,8 @@ func TestParallelismTranscriptInvariant(t *testing.T) {
 
 // TestParallelismBudgetExhaustionInvariant repeats the check under a
 // question budget tight enough to force the degradation ladder: the stop
-// probe sequence, the degradation events, and the uncertified outcome must
-// all match the serial engine exactly.
+// probe sequence, the degradation events, and the uncertified outcome of
+// every concurrent session must match a lone run exactly.
 func TestParallelismBudgetExhaustionInvariant(t *testing.T) {
 	freezeLPClockFacade(t)
 	rng := rand.New(rand.NewSource(13))
@@ -146,19 +184,17 @@ func TestParallelismBudgetExhaustionInvariant(t *testing.T) {
 	band := Preprocess(ds.Points, k)
 	hidden := RandomUtility(rng, 5)
 
+	mk := func() Algorithm { return NewHDPIAccurate(5) }
 	for _, budget := range []int{1, 3, 8} {
-		want := runTranscript(t, NewHDPIAccurate(5), band, k, hidden, budget)
-		for _, workers := range []int{2, 4, 8} {
-			alg := NewHDPIAccurate(5)
-			SetParallelism(alg, workers)
-			got := runTranscript(t, alg, band, k, hidden, budget)
+		want := mustRun(t, mk(), band, k, hidden, budget)
+		for _, got := range runConcurrently(t, 4, mk, band, k, hidden, budget) {
 			sameRun(t, "budget", want, got)
 		}
 	}
 }
 
 // TestPrepCacheTranscriptInvariant checks the cache's taping contract at the
-// facade: a cold populate, a warm hit, and a parallel warm hit must all be
+// facade: a cold populate, a warm hit, and concurrent warm hits must all be
 // indistinguishable from an uncached run, and budgeted runs (which may only
 // Lookup, never populate) must be indistinguishable whether they hit or
 // miss the cache.
@@ -170,42 +206,46 @@ func TestPrepCacheTranscriptInvariant(t *testing.T) {
 	band := Preprocess(ds.Points, k)
 	hidden := RandomUtility(rng, 5)
 
-	want := runTranscript(t, NewHDPIAccurate(5), band, k, hidden, 0)
+	want := mustRun(t, NewHDPIAccurate(5), band, k, hidden, 0)
 
 	cache := NewPreprocessCache(0)
 	cold := NewHDPIAccurate(5)
 	if !UsePreprocessCache(cold, cache, band, k) {
 		t.Fatal("hdpi-accurate should accept a preprocessing cache")
 	}
-	sameRun(t, "cold populate", want, runTranscript(t, cold, band, k, hidden, 0))
+	sameRun(t, "cold populate", want, mustRun(t, cold, band, k, hidden, 0))
 	if s := cache.Stats(); s.Misses == 0 {
 		t.Fatal("cold run did not populate the cache")
 	}
 
 	warm := NewHDPIAccurate(5)
 	UsePreprocessCache(warm, cache, band, k)
-	sameRun(t, "warm hit", want, runTranscript(t, warm, band, k, hidden, 0))
+	sameRun(t, "warm hit", want, mustRun(t, warm, band, k, hidden, 0))
 	if s := cache.Stats(); s.Hits == 0 {
 		t.Fatal("warm run did not hit the cache")
 	}
 
-	both := NewHDPIAccurate(5)
-	SetParallelism(both, 4)
-	UsePreprocessCache(both, cache, band, k)
-	sameRun(t, "parallel warm hit", want, runTranscript(t, both, band, k, hidden, 0))
+	shared := func() Algorithm {
+		alg := NewHDPIAccurate(5)
+		UsePreprocessCache(alg, cache, band, k)
+		return alg
+	}
+	for _, got := range runConcurrently(t, 4, shared, band, k, hidden, 0) {
+		sameRun(t, "concurrent warm hit", want, got)
+	}
 
 	// Budgeted: compare serial-uncached vs cached (warm) vs cached (cold,
 	// where Lookup misses and the run computes locally without populating).
 	budget := 5
-	wantB := runTranscript(t, NewHDPIAccurate(5), band, k, hidden, budget)
+	wantB := mustRun(t, NewHDPIAccurate(5), band, k, hidden, budget)
 	warmB := NewHDPIAccurate(5)
 	UsePreprocessCache(warmB, cache, band, k)
-	sameRun(t, "budget warm", wantB, runTranscript(t, warmB, band, k, hidden, budget))
+	sameRun(t, "budget warm", wantB, mustRun(t, warmB, band, k, hidden, budget))
 
 	fresh := NewPreprocessCache(0)
 	coldB := NewHDPIAccurate(5)
 	UsePreprocessCache(coldB, fresh, band, k)
-	sameRun(t, "budget cold", wantB, runTranscript(t, coldB, band, k, hidden, budget))
+	sameRun(t, "budget cold", wantB, mustRun(t, coldB, band, k, hidden, budget))
 	if s := fresh.Stats(); s.Entries != 0 {
 		t.Fatalf("budgeted run populated the cache (%d entries) — a mid-scan stop could poison it", s.Entries)
 	}

@@ -34,11 +34,6 @@
 //     wrappers of internal/obs, never by calling Observer.Event directly —
 //     the observer is nil on the uninstrumented fast path (PR 4), and the
 //     wrappers are where the observation-is-passive guarantee lives.
-//   - detpar: function literals that run concurrently (go statements, the
-//     task closures of internal/parallel) never mutate captured state
-//     without synchronization — the index-ordered-slot idiom is the only
-//     bare way results may leave a worker, which is what keeps parallel
-//     transcripts bit-identical to serial ones (DESIGN.md §14).
 //
 // A diagnostic can be suppressed with a justifying directive on the same
 // line or the line immediately above:
@@ -140,7 +135,6 @@ func All() []*Analyzer {
 		ErrDropAnalyzer,
 		WallClockAnalyzer,
 		ObsNilAnalyzer,
-		DetParAnalyzer,
 		LockSafeAnalyzer,
 		GoroLeakAnalyzer,
 		ErrFlowAnalyzer,

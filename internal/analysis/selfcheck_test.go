@@ -31,7 +31,7 @@ func TestRepoIsClean(t *testing.T) {
 func TestSuiteComposition(t *testing.T) {
 	want := []string{
 		"floatcmp", "lpstatus", "detrand", "epsconst", "errdrop",
-		"wallclock", "obsnil", "detpar",
+		"wallclock", "obsnil",
 		"locksafe", "goroleak", "errflow", "nilguard", "spanend",
 	}
 	all := analysis.All()

@@ -60,16 +60,6 @@ type Observable interface {
 	SetObserver(o obs.Observer)
 }
 
-// Parallelizable is implemented by algorithms whose preprocessing can fan
-// out over a bounded worker pool (internal/hull's speculative LP engine).
-// The contract is strict determinism: any worker count must produce the
-// same answers, transcripts and event streams as workers == 1, which is
-// the serial legacy path (DESIGN.md §14). Callers resolve "use all cores"
-// themselves (parallel.Degree); 0 and 1 both mean serial here.
-type Parallelizable interface {
-	SetParallelism(workers int)
-}
-
 // PrepCached is implemented by algorithms that can memoize dataset-level
 // preprocessing (convex points, sweep partitions) in a shared prep.Cache.
 // fingerprint keys the entries (ist.Fingerprint of the dataset); 0 disables

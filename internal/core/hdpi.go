@@ -54,12 +54,6 @@ type HDPIOptions struct {
 	StopCheckEvery int
 	// Observer receives trace events (internal/obs); nil disables tracing.
 	Observer obs.Observer
-	// Parallelism is the worker-pool degree for the exact convex-point
-	// scan. 0 or 1 keeps the serial legacy path byte for byte; higher
-	// values run internal/hull's speculative engine, which is guaranteed
-	// to produce identical results and event streams. Callers wanting
-	// "all cores" resolve GOMAXPROCS themselves (parallel.Degree).
-	Parallelism int
 	// PrepCache, when non-nil and PrepFingerprint != 0, memoizes
 	// dataset-level preprocessing (the exact convex-point set) across
 	// sessions over the same dataset. Sampling mode is never cached (it
@@ -100,9 +94,6 @@ func (a *HDPI) Name() string { return fmt.Sprintf("HD-PI-%s", a.opt.Mode) }
 
 // SetObserver implements Observable.
 func (a *HDPI) SetObserver(o obs.Observer) { a.opt.Observer = o }
-
-// SetParallelism implements Parallelizable.
-func (a *HDPI) SetParallelism(workers int) { a.opt.Parallelism = workers }
 
 // SetPrepCache implements PrepCached.
 func (a *HDPI) SetPrepCache(c *prep.Cache, fingerprint uint64) {
@@ -244,9 +235,8 @@ const prepKindConvexExact = "convex-exact"
 // non-Optimal solve on a healthy problem) instead of silently mislabeling
 // convex points.
 //
-// The exact paths honour opt.Parallelism (the speculative worker-pool
-// engine; 0/1 = serial legacy) and opt.PrepCache: unbudgeted exact results
-// are memoized under the dataset fingerprint with their event tape, so a
+// The exact paths honour opt.PrepCache: unbudgeted exact results are
+// memoized under the dataset fingerprint with their event tape, so a
 // cached session emits the same stream a cold one does. Budgeted runs only
 // read the cache — a hit hands them the complete exact set for free, a miss
 // computes locally without populating (the scan may stop mid-way). Sampling
@@ -283,20 +273,20 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 		// reject-on-bad-LP behaviour, traced when an observer rides along.
 		if cache != nil {
 			v, err := cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
-				V, _ := hull.ConvexPointsExactParallel(points, nil, false, co, opt.Parallelism)
+				V, _ := hull.ConvexPointsExactObserved(points, nil, false, co)
 				return V, intsBytes(V), nil
 			})
 			if err == nil {
 				return copyInts(v.([]int))
 			}
 		}
-		V, _ := hull.ConvexPointsExactParallel(points, nil, false, o, opt.Parallelism)
+		V, _ := hull.ConvexPointsExactObserved(points, nil, false, o)
 		return V
 	}
 	if v, ok := cache.Lookup(key, o); ok {
 		return copyInts(v.([]int))
 	}
-	V, err := hull.ConvexPointsExactParallel(points, tr.exhausted, true, o, opt.Parallelism)
+	V, err := hull.ConvexPointsExactObserved(points, tr.exhausted, true, o)
 	if err == nil {
 		return V
 	}

@@ -55,9 +55,8 @@ type RobustHDPIOptions struct {
 	Rng *rand.Rand
 	// Observer receives trace events (internal/obs); nil disables tracing.
 	Observer obs.Observer
-	// Parallelism, PrepCache and PrepFingerprint control the exact
-	// convex-point scan as in HDPIOptions.
-	Parallelism     int
+	// PrepCache and PrepFingerprint memoize the exact convex-point scan as
+	// in HDPIOptions.
 	PrepCache       *prep.Cache
 	PrepFingerprint uint64
 }
@@ -88,9 +87,6 @@ func (a *RobustHDPI) Name() string { return fmt.Sprintf("Robust-HD-PI-%s", a.opt
 // SetObserver implements Observable.
 func (a *RobustHDPI) SetObserver(o obs.Observer) { a.opt.Observer = o }
 
-// SetParallelism implements Parallelizable.
-func (a *RobustHDPI) SetParallelism(workers int) { a.opt.Parallelism = workers }
-
 // SetPrepCache implements PrepCached.
 func (a *RobustHDPI) SetPrepCache(c *prep.Cache, fingerprint uint64) {
 	a.opt.PrepCache, a.opt.PrepFingerprint = c, fingerprint
@@ -117,8 +113,7 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 
 	V := convexPoints(points, HDPIOptions{
 		Mode: a.opt.Mode, Samples: a.opt.Samples, Rng: rng,
-		Parallelism: a.opt.Parallelism,
-		PrepCache:   a.opt.PrepCache, PrepFingerprint: a.opt.PrepFingerprint,
+		PrepCache: a.opt.PrepCache, PrepFingerprint: a.opt.PrepFingerprint,
 	}, tr)
 	base := &HDPI{opt: HDPIOptions{Rng: rng}}
 	C := base.buildPartitions(points, V, d, tr)

@@ -1,8 +1,10 @@
 package hull
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 )
 
 // freezeLPClock pins traced-solve timing to a constant so event streams from
-// serial and parallel runs can be compared with DeepEqual.
+// separate runs can be compared with DeepEqual.
 func freezeLPClock(t *testing.T) {
 	t.Helper()
 	lp.SetClock(clock.NewFake(time.Unix(0, 0)))
@@ -33,81 +35,105 @@ func antiCorrelatedBand(t testing.TB, n, d, k int) []geom.Vector {
 	return pts
 }
 
-// TestParallelMatchesSerial is the core determinism contract: for every
-// worker count the parallel engine must return the same convex points AND
-// emit a bit-identical event stream to the serial engine.
+// scanRun is one exact scan's result and event stream.
+type scanRun struct {
+	v      []int
+	err    error
+	events []obs.Event
+}
+
+// scanConcurrently runs n strict exact scans of pts at once, the way a
+// server runs the cold scans of concurrent sessions: they share the LP
+// solver's scratch pool and the margin-staging pool. mkStop builds each
+// scan's own stop predicate (nil for none); record selects a recording
+// observer over the nil fast path.
+func scanConcurrently(pts []geom.Vector, n int, mkStop func() func() bool, record bool) []scanRun {
+	out := make([]scanRun, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stop func() bool
+			if mkStop != nil {
+				stop = mkStop()
+			}
+			var o obs.Observer
+			rec := &obs.Recorder{}
+			if record {
+				o = rec
+			}
+			out[i].v, out[i].err = ConvexPointsExactObserved(pts, stop, true, o)
+			out[i].events = rec.Events()
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// sameScan fails unless got matches want in points, error and events.
+func sameScan(t *testing.T, name string, want, got scanRun) {
+	t.Helper()
+	if got.err != nil || want.err != nil {
+		t.Fatalf("%s: errors %v / %v", name, got.err, want.err)
+	}
+	if !reflect.DeepEqual(got.v, want.v) {
+		t.Fatalf("%s: convex points diverge\ngot  %v\nwant %v", name, got.v, want.v)
+	}
+	if !reflect.DeepEqual(got.events, want.events) {
+		t.Fatalf("%s: event stream diverges (%d events vs %d)", name, len(got.events), len(want.events))
+	}
+}
+
+// TestParallelMatchesSerial runs several exact scans at once and requires
+// each to return the same convex points AND a bit-identical event stream to
+// a lone scan: pooled solver and staging buffers must never carry state from
+// one concurrent scan into another.
 func TestParallelMatchesSerial(t *testing.T) {
 	freezeLPClock(t)
 	pts := antiCorrelatedBand(t, 300, 5, 3)
-
-	var serialRec obs.Recorder
-	wantV, wantErr := convexPointsExact(pts, nil, true, &serialRec)
-	if wantErr != nil {
-		t.Fatalf("serial: %v", wantErr)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		var rec obs.Recorder
-		gotV, err := ConvexPointsExactParallel(pts, nil, true, &rec, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(gotV, wantV) {
-			t.Fatalf("workers=%d: convex points diverge\ngot  %v\nwant %v", workers, gotV, wantV)
-		}
-		if !reflect.DeepEqual(rec.Events(), serialRec.Events()) {
-			t.Fatalf("workers=%d: event stream diverges (%d events vs %d)",
-				workers, rec.Len(), serialRec.Len())
-		}
+	want := scanConcurrently(pts, 1, nil, true)[0]
+	for i, got := range scanConcurrently(pts, 4, nil, true) {
+		sameScan(t, fmt.Sprintf("scan %d", i), want, got)
 	}
 }
 
 // TestParallelMatchesSerialNilObserver checks the nil-observer fast path —
-// the engines must still agree when nobody is recording.
+// concurrent scans must still agree when nobody is recording.
 func TestParallelMatchesSerialNilObserver(t *testing.T) {
 	pts := antiCorrelatedBand(t, 200, 4, 2)
-	want, _ := convexPointsExact(pts, nil, false, nil)
-	for _, workers := range []int{2, 4} {
-		got, err := ConvexPointsExactParallel(pts, nil, false, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: got %v, want %v", workers, got, want)
-		}
+	want := scanConcurrently(pts, 1, nil, false)[0]
+	for i, got := range scanConcurrently(pts, 4, nil, false) {
+		sameScan(t, fmt.Sprintf("scan %d", i), want, got)
 	}
 }
 
-// TestParallelStopImmediately: a stop() that is already true must yield the
-// seed confirms only, exactly as the serial engine does.
+// TestParallelStopImmediately: a stop() that is already true yields the seed
+// confirms only, in every concurrent scan.
 func TestParallelStopImmediately(t *testing.T) {
 	freezeLPClock(t)
 	pts := antiCorrelatedBand(t, 120, 4, 2)
-	stop := func() bool { return true }
-
-	var serialRec obs.Recorder
-	want, err := convexPointsExact(pts, stop, true, &serialRec)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
+	mkStop := func() func() bool { return func() bool { return true } }
+	want := scanConcurrently(pts, 1, mkStop, true)[0]
+	seeds := map[int]bool{}
+	for _, u := range seedUtilities(4) {
+		seeds[argmax(pts, u, -1)] = true
 	}
-	var rec obs.Recorder
-	got, err := ConvexPointsExactParallel(pts, stop, true, &rec, 4)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
+	if len(want.v) != len(seeds) {
+		t.Fatalf("immediate stop kept %v, want only the %d seed winners", want.v, len(seeds))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	if !reflect.DeepEqual(rec.Events(), serialRec.Events()) {
-		t.Fatalf("event streams diverge under immediate stop")
+	for i, got := range scanConcurrently(pts, 4, mkStop, true) {
+		sameScan(t, fmt.Sprintf("scan %d", i), want, got)
 	}
 }
 
-// TestParallelStopMidway: stop() predicates see the identical call sequence
-// in both engines (one call per unconfirmed candidate, in candidate order),
-// so a count-based budget must cut both scans at the same place.
+// TestParallelStopMidway: the stop predicate is called once per unconfirmed
+// candidate, in candidate order, so a count-based budget cuts every
+// concurrent scan at the same place as a lone one.
 func TestParallelStopMidway(t *testing.T) {
 	freezeLPClock(t)
 	pts := antiCorrelatedBand(t, 250, 5, 3)
+	full := scanConcurrently(pts, 1, nil, false)[0]
 	for _, budget := range []int{1, 7, 40} {
 		mkStop := func() func() bool {
 			calls := 0
@@ -116,42 +142,13 @@ func TestParallelStopMidway(t *testing.T) {
 				return calls > budget
 			}
 		}
-		var serialRec obs.Recorder
-		want, err := convexPointsExact(pts, mkStop(), true, &serialRec)
-		if err != nil {
-			t.Fatalf("budget=%d serial: %v", budget, err)
+		want := scanConcurrently(pts, 1, mkStop, true)[0]
+		if !isSubset(want.v, full.v) || len(want.v) > len(full.v) {
+			t.Fatalf("budget=%d: stopped scan %v is not part of the full scan %v", budget, want.v, full.v)
 		}
-		var rec obs.Recorder
-		got, err := ConvexPointsExactParallel(pts, mkStop(), true, &rec, 4)
-		if err != nil {
-			t.Fatalf("budget=%d parallel: %v", budget, err)
+		for i, got := range scanConcurrently(pts, 4, mkStop, true) {
+			sameScan(t, fmt.Sprintf("budget=%d scan %d", budget, i), want, got)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("budget=%d: got %v, want %v", budget, got, want)
-		}
-		if !reflect.DeepEqual(rec.Events(), serialRec.Events()) {
-			t.Fatalf("budget=%d: event streams diverge", budget)
-		}
-	}
-}
-
-// TestParallelWorkersOneIsSerialEngine pins that workers<=1 routes through
-// the legacy serial function (no batching, no snapshots).
-func TestParallelWorkersOneIsSerialEngine(t *testing.T) {
-	freezeLPClock(t)
-	pts := antiCorrelatedBand(t, 100, 4, 2)
-	var a, b obs.Recorder
-	v1, _ := ConvexPointsExactParallel(pts, nil, true, &a, 1)
-	v2, _ := convexPointsExact(pts, nil, true, &b)
-	if !reflect.DeepEqual(v1, v2) || !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Fatal("workers=1 does not match the serial engine")
-	}
-}
-
-func TestParallelEmpty(t *testing.T) {
-	got, err := ConvexPointsExactParallel(nil, nil, true, nil, 4)
-	if err != nil || got != nil {
-		t.Fatalf("empty input: got %v, %v", got, err)
 	}
 }
 
@@ -163,23 +160,6 @@ func BenchmarkConvexPointsExact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ConvexPointsExact(pts)
-	}
-}
-
-// BenchmarkConvexPointsExactParallel sweeps the worker-pool degree on the
-// same workload; the w4 / serial ratio is the headline speedup in
-// BENCH_10.json.
-func BenchmarkConvexPointsExactParallel(b *testing.B) {
-	pts := antiCorrelatedBand(b, 400, 6, 3)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4", 8: "w8"}[w], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ConvexPointsExactParallel(pts, nil, false, nil, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -59,11 +59,10 @@ func createSession(t *testing.T, srv *Server, alg string) StateResponse {
 }
 
 // TestPrepCacheTranscriptsIdentical runs the same seeded sessions against a
-// cache-free server and a server sharing a preprocessing cache (with a
-// parallel worker pool for good measure), and requires bit-identical
-// transcripts in every combination: cache-free vs cold-populate (session 1)
-// and cache-free vs cache-hit (session 2). This is the server-level
-// determinism contract of DESIGN.md §14.3 — caching and parallelism are
+// cache-free server and a server sharing a preprocessing cache, and
+// requires bit-identical transcripts in every combination: cache-free vs
+// cold-populate (session 1) and cache-free vs cache-hit (session 2). This is
+// the server-level determinism contract of DESIGN.md §14 — caching is
 // invisible in every user-visible byte.
 func TestPrepCacheTranscriptsIdentical(t *testing.T) {
 	band, k, hidden := testBand(t)
@@ -75,10 +74,9 @@ func TestPrepCacheTranscriptsIdentical(t *testing.T) {
 	t.Cleanup(plain.Close)
 
 	cached, err := New(band, k, Options{
-		Seed:        7,
-		TTL:         time.Minute,
-		Parallelism: 4,
-		PrepCache:   ist.NewPreprocessCache(0),
+		Seed:      7,
+		TTL:       time.Minute,
+		PrepCache: ist.NewPreprocessCache(0),
 	})
 	if err != nil {
 		t.Fatal(err)

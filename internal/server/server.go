@@ -95,12 +95,6 @@ type Options struct {
 	// "_truncated" marker is written and the rest of the stream is dropped
 	// (0 = the 4 MiB default, negative = unlimited).
 	TraceMaxBytes int64
-	// Parallelism is the preprocessing worker-pool degree applied to every
-	// session's algorithm (DESIGN.md §14). 0 or 1 keeps the serial legacy
-	// path; any value yields bit-identical transcripts and traces, so it is
-	// safe to tune freely. Callers wanting "all cores" resolve GOMAXPROCS
-	// before setting (istserve's -parallelism flag does).
-	Parallelism int
 	// PrepCache, when non-nil, is shared by every session's algorithm to
 	// memoize dataset-level preprocessing (exact convex points, 2-d sweep
 	// partitions) — the dominant per-session setup cost under high session
@@ -375,14 +369,11 @@ func algorithmByName(name string, seed int64) (ist.Algorithm, error) {
 }
 
 // applyPerfOptions grants a freshly constructed algorithm the server-wide
-// performance capabilities (worker-pool degree, shared preprocessing cache)
-// before any observability wrapper hides the concrete type. Both are
-// transcript-neutral (DESIGN.md §14): rehydrated sessions replay identically
-// whether or not the original run had them.
+// shared preprocessing cache before any observability wrapper hides the
+// concrete type. The cache is transcript-neutral (DESIGN.md §14):
+// rehydrated sessions replay identically whether or not the original run
+// had it.
 func (srv *Server) applyPerfOptions(alg any) {
-	if srv.opt.Parallelism > 1 {
-		ist.SetParallelism(alg, srv.opt.Parallelism)
-	}
 	if srv.opt.PrepCache != nil {
 		ist.UsePreprocessCache(alg, srv.opt.PrepCache, srv.points, srv.k)
 	}

@@ -41,7 +41,6 @@ import (
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
-	"ist/internal/parallel"
 	"ist/internal/polytope"
 	"ist/internal/prep"
 	"ist/internal/skyband"
@@ -161,21 +160,6 @@ func Observe(alg any, o Observer) bool {
 	oa, ok := alg.(core.Observable)
 	if ok {
 		oa.SetObserver(o)
-	}
-	return ok
-}
-
-// SetParallelism sets the preprocessing worker-pool degree on an algorithm
-// built by this package. workers <= 0 resolves to GOMAXPROCS; 1 is the
-// serial legacy path. Any degree produces bit-identical answers, transcripts
-// and trace streams — parallelism only changes wall-clock time (DESIGN.md
-// §14). It reports false for algorithms with no parallelizable stage (2D-PI
-// and RH compute no convex points; the adapted baselines other than UH are
-// untouched).
-func SetParallelism(alg any, workers int) bool {
-	pa, ok := alg.(core.Parallelizable)
-	if ok {
-		pa.SetParallelism(parallel.Degree(workers))
 	}
 	return ok
 }
