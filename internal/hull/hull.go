@@ -5,13 +5,16 @@
 // Two strategies are provided, matching the paper's two HD-PI versions:
 //
 //   - ConvexPointsExact ("accurate"): an output-sensitive LP method. For
-//     each candidate p we solve max δ s.t. u·(p−q) ≥ δ for all confirmed
-//     convex points q; if δ < 0 then p is beaten everywhere already by the
-//     confirmed set and is rejected (adding constraints can only lower δ).
-//     Otherwise the witness u is verified against the full dataset: either p
-//     is top-1 at u (confirmed), or the actual winner is a new convex point
-//     that joins the confirmed set and the LP is retried. Every retry grows
-//     the confirmed set, so the total LP count is O(n + |V|) with tiny LPs.
+//     each candidate p we find δ = max over u of min u·(p−q) over all
+//     confirmed convex points q; if δ < 0 then p is beaten everywhere
+//     already by the confirmed set and is rejected (adding constraints can
+//     only lower δ). δ comes first from the LP dual, which has d+1 rows
+//     whatever the confirmed set's size; only survivors solve the primal,
+//     whose optimum is a witness u. The witness is verified against the full
+//     dataset: either p is top-1 at u (confirmed), or the actual winner is a
+//     new convex point that joins the confirmed set and the LPs are retried.
+//     Every retry grows the confirmed set, so the total LP count is
+//     O(n + |V|) with small LPs (DESIGN.md §14.1).
 //
 //   - ConvexPointsSampling ("sampling"): the paper's practical strategy —
 //     sample utility vectors uniformly and collect the distinct top-1
@@ -92,7 +95,18 @@ func convexPointsExact(points []geom.Vector, stop func() bool, strict bool, o ob
 			break // budget exhausted: report what is confirmed so far
 		}
 		for {
-			u, delta, ok := maxMinMargin(points, p, confirmedList, o)
+			// The dual has d+1 rows where the primal has one per confirmed
+			// point, and strong duality makes its optimum the same margin:
+			// it rejects most candidates alone, and the primal runs only
+			// for the survivors, to find their witness.
+			delta, ok := dualMargin(points, p, confirmedList, o)
+			if ok && delta < -geom.Eps {
+				break // beaten everywhere by confirmed points: not convex
+			}
+			var u geom.Vector
+			if ok {
+				u, delta, ok = maxMinMargin(points, p, confirmedList, o)
+			}
 			if !ok {
 				if strict {
 					sort.Ints(confirmedList)
@@ -140,13 +154,12 @@ func seedUtilities(d int) []geom.Vector {
 	return append(seeds, c)
 }
 
-// marginScratch reuses maxMinMargin's LP staging buffers across calls: the
-// coefficient arena (objective + simplex row + one difference row per
-// confirmed point), the constraint headers, and the free-variable mask.
-// Reused memory is re-zeroed to fresh-make state, so the staged problem —
-// and therefore the solve — is bit-identical to the allocating version this
-// replaced (the hot-loop fix of PR 10; see BenchmarkMaxMinMargin). Pooled
-// because the parallel fan-out calls this from many workers at once.
+// marginScratch reuses the margin LPs' staging buffers across calls: the
+// coefficient arena (objective plus constraint rows), the constraint
+// headers, and the free-variable mask. Reused memory is re-zeroed to
+// fresh-make state, so the staged problem — and therefore the solve — is
+// bit-identical to an allocating version (see BenchmarkMaxMinMargin).
+// Pooled because a server runs the scans of concurrent sessions at once.
 type marginScratch struct {
 	arena []float64
 	cons  []lp.Constraint
@@ -155,35 +168,45 @@ type marginScratch struct {
 
 var marginPool = sync.Pool{New: func() any { return new(marginScratch) }}
 
+// stage returns a zeroed arena of n floats, an empty constraint list and a
+// cleared free mask of nv variables, all backed by the scratch.
+func (s *marginScratch) stage(n, nv int) ([]float64, []lp.Constraint, []bool) {
+	if cap(s.arena) < n {
+		s.arena = make([]float64, n)
+	} else {
+		s.arena = s.arena[:n]
+		clear(s.arena)
+	}
+	if cap(s.free) < nv {
+		s.free = make([]bool, nv)
+	} else {
+		s.free = s.free[:nv]
+		clear(s.free)
+	}
+	return s.arena, s.cons[:0], s.free
+}
+
 // maxMinMargin solves max δ s.t. u in simplex, u·(p − q) ≥ δ for all q in
 // against (excluding p itself). Returns the witness u and δ.
 func maxMinMargin(points []geom.Vector, p int, against []int, o obs.Observer) (geom.Vector, float64, bool) {
 	d := len(points[p])
 	nv := d + 1 // u plus δ
 	s := marginPool.Get().(*marginScratch)
-	arena := s.arena
-	if need := nv * (2 + len(against)); cap(arena) < need {
-		arena = make([]float64, need)
-	} else {
-		arena = arena[:need]
-		clear(arena)
-	}
-	s.arena = arena
+	arena, cons, free := s.stage(nv*(2+len(against)), nv)
 	obj := arena[0:nv]
 	obj[d] = 1
 	one := arena[nv : 2*nv]
 	for i := 0; i < d; i++ {
 		one[i] = 1
 	}
-	cons := append(s.cons[:0], lp.Constraint{Coef: one, Rel: lp.EQ, RHS: 1})
+	cons = append(cons, lp.Constraint{Coef: one, Rel: lp.EQ, RHS: 1})
 	off := 2 * nv
 	pp := points[p]
 	for _, q := range against {
 		if q == p {
 			continue
 		}
-		// The difference p − q is written straight into the arena row: same
-		// floats as the Sub-then-copy it replaces, without the temporary.
+		// The difference p − q is written straight into the arena row.
 		row := arena[off : off+nv]
 		off += nv
 		pq := points[q]
@@ -194,14 +217,6 @@ func maxMinMargin(points []geom.Vector, p int, against []int, o obs.Observer) (g
 		cons = append(cons, lp.Constraint{Coef: row, Rel: lp.GE, RHS: 0})
 	}
 	s.cons = cons
-	free := s.free
-	if cap(free) < nv {
-		free = make([]bool, nv)
-	} else {
-		free = free[:nv]
-		clear(free)
-	}
-	s.free = free
 	free[d] = true
 	res := lp.SolveTraced(lp.Problem{NumVars: nv, Objective: obj, Constraints: cons, Free: free}, o)
 	// The solver copies the problem into its own scratch and Result.X is
@@ -211,6 +226,52 @@ func maxMinMargin(points []geom.Vector, p int, against []int, o obs.Observer) (g
 		return nil, 0, false
 	}
 	return geom.Vector(res.X[:d]), res.Value, true
+}
+
+// dualMargin solves the LP dual of maxMinMargin: min y s.t. y ≥ Σ_q λ_q
+// (p − q)_i for every dimension i, Σλ = 1, λ ≥ 0 (one λ per q in against,
+// excluding p). Its d+1 rows do not grow with the confirmed set, and by
+// strong duality its optimum is maxMinMargin's δ. Returns that value.
+func dualMargin(points []geom.Vector, p int, against []int, o obs.Observer) (float64, bool) {
+	d := len(points[p])
+	nq := 0
+	for _, q := range against {
+		if q != p {
+			nq++
+		}
+	}
+	nv := nq + 1 // λ per confirmed point, plus y
+	s := marginPool.Get().(*marginScratch)
+	arena, cons, free := s.stage(nv*(2+d), nv)
+	obj := arena[0:nv]
+	obj[nq] = -1 // maximize −y
+	one := arena[nv : 2*nv]
+	for j := 0; j < nq; j++ {
+		one[j] = 1
+	}
+	cons = append(cons, lp.Constraint{Coef: one, Rel: lp.EQ, RHS: 1})
+	pp := points[p]
+	for i := 0; i < d; i++ {
+		row := arena[(2+i)*nv : (3+i)*nv]
+		j := 0
+		for _, q := range against {
+			if q == p {
+				continue
+			}
+			row[j] = pp[i] - points[q][i]
+			j++
+		}
+		row[nq] = -1
+		cons = append(cons, lp.Constraint{Coef: row, Rel: lp.LE, RHS: 0})
+	}
+	s.cons = cons
+	free[nq] = true
+	res := lp.SolveTraced(lp.Problem{NumVars: nv, Objective: obj, Constraints: cons, Free: free}, o)
+	marginPool.Put(s)
+	if res.Status != lp.Optimal {
+		return 0, false
+	}
+	return -res.Value, true
 }
 
 // argmax returns the index with the highest utility w.r.t. u; prefer wins
