@@ -1,16 +1,11 @@
 package obs
 
-// Recorder buffers events for deferred, in-order replay. It is the building
-// block of the deterministic parallel paths (DESIGN.md §14): each speculative
-// worker records the events its work would have emitted into a private
-// Recorder, and the dispatcher replays exactly the buffers of committed work
-// — in commit order — into the real observer, so the merged stream is
-// bit-identical to a serial run. The preprocessing cache (internal/prep)
-// stores a Recorder's tape next to each memoized value for the same reason:
-// a cache hit replays the recorded events so cached and cold sessions emit
-// identical streams.
+// Recorder buffers events for deferred, in-order replay. The preprocessing
+// cache (internal/prep, DESIGN.md §14) stores a Recorder's tape next to each
+// memoized value: a cache hit replays the recorded events so cached and cold
+// sessions emit identical streams.
 //
-// A Recorder is NOT safe for concurrent use; each worker owns its own.
+// A Recorder is NOT safe for concurrent use; each producer owns its own.
 // Events hold only value types, so a recorded event replays bit-identically.
 type Recorder struct {
 	events []Event
