@@ -27,10 +27,9 @@
 // write-ahead log (segment-rotated, snapshot-compacted, fsynced per
 // -fsync) and rehydrated (by deterministic transcript replay) when the
 // server restarts — a kill -9 or power cut mid-session costs the user no
-// re-asked questions. -store keeps the legacy single-file JSONL log
-// working and, combined with -store-dir, is migrated into the WAL store
-// on first boot. SIGINT or SIGTERM flips /readyz to 503, drains
-// connections, and shuts down gracefully.
+// re-asked questions; without it sessions live in memory only. SIGINT or
+// SIGTERM flips /readyz to 503, drains connections, and shuts down
+// gracefully.
 package main
 
 import (
@@ -64,8 +63,7 @@ func main() {
 		ttl         = flag.Duration("session-ttl", 15*time.Minute, "idle session expiry")
 		reap        = flag.Duration("reap-interval", time.Minute, "how often the reaper scans for idle sessions")
 		maxSessions = flag.Int("max-sessions", 1024, "maximum live sessions; creation beyond it returns 429 (0 = unlimited)")
-		storePath   = flag.String("store", "", "legacy single-file JSONL session store; with -store-dir set it is migrated into the WAL store on first boot (empty = memory only)")
-		storeDir    = flag.String("store-dir", "", "checksummed write-ahead-log session store directory for crash recovery (empty = use -store or memory only)")
+		storeDir    = flag.String("store-dir", "", "checksummed write-ahead-log session store directory for crash recovery (empty = memory only)")
 		fsync       = flag.String("fsync", "always", "store fsync policy: always|interval|never")
 		fsyncEvery  = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync batching interval for -fsync interval")
 		snapEvery   = flag.Int("snapshot-every", 256, "fold the session log into a snapshot (and compact old segments) every N events (<0 disables)")
@@ -117,30 +115,18 @@ func main() {
 	// metrics and the store's durability metrics land side by side.
 	reg := obs.NewRegistry()
 	var store server.SessionStore
-	switch {
-	case *storeDir != "":
+	if *storeDir != "" {
 		ws, err := server.OpenWALStore(*storeDir, server.WALOptions{
 			Fsync:         policy,
 			FsyncEvery:    *fsyncEvery,
 			SnapshotEvery: *snapEvery,
 			Metrics:       wal.NewMetrics(reg),
-			MigrateJSONL:  *storePath,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "istserve:", err)
 			os.Exit(1)
 		}
-		if n := ws.Migrated(); n > 0 {
-			log.Printf("istserve: migrated %d session(s) from %s into %s", n, *storePath, *storeDir)
-		}
 		store = ws
-	case *storePath != "":
-		js, err := server.OpenJSONLStoreSync(*storePath, policy, *fsyncEvery, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "istserve:", err)
-			os.Exit(1)
-		}
-		store = js
 	}
 	// The listener comes up BEFORE session rehydration so that readiness is
 	// honest from the first instant: while the WAL replays, /healthz says
@@ -214,7 +200,7 @@ func main() {
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			log.Printf("istserve: shutdown: %v", err)
 		}
-		// Sessions close but (with -store) stay persisted: the next start
+		// Sessions close but (with -store-dir) stay persisted: the next start
 		// resumes them where the users left off.
 		srv.Close()
 		log.Print("istserve: drained, bye")

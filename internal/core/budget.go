@@ -94,14 +94,8 @@ type Certificate struct {
 // unbudgeted fast path: every method is safe and free on the nil receiver.
 type tracker struct {
 	active bool
-	// budgeted marks trackers built by newTracker (budget machinery in
-	// play, even if the budget itself is inactive); observer-only trackers
-	// from obsTracker leave it false so instrumentation never changes how
-	// an unbudgeted run handles faults (e.g. strict vs historical LP error
-	// handling in convex-point detection).
-	budgeted bool
-	budget   Budget
-	clk      clock.Clock
+	budget Budget
+	clk    clock.Clock
 	// obs receives trace events; nil is the silent fast path. Events carry
 	// only already-computed state, so an attached observer consumes no
 	// randomness and leaves transcripts bit-identical.
@@ -136,7 +130,7 @@ func newTracker(b Budget, strat polytope.Strategy, stopEvery int, o obs.Observer
 	if stopEvery <= 0 {
 		stopEvery = 1
 	}
-	t := &tracker{budget: b, strategy: strat, stopEvery: stopEvery, active: b.Active(), budgeted: true, obs: o}
+	t := &tracker{budget: b, strategy: strat, stopEvery: stopEvery, active: b.Active(), obs: o}
 	if !t.active {
 		return t
 	}
@@ -155,8 +149,7 @@ func newTracker(b Budget, strat polytope.Strategy, stopEvery int, o obs.Observer
 // budget, no clock — or nil when there is nothing to observe, keeping the
 // uninstrumented fast path allocation-free. It is how the plain Run entry
 // points thread an attached observer without changing any behaviour:
-// every budget gate checks active (false here) and the fault-handling
-// routing checks budgeted (also false here).
+// every budget gate checks active (false here).
 func obsTracker(o obs.Observer) *tracker {
 	if o == nil {
 		return nil

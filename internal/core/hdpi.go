@@ -57,8 +57,9 @@ type HDPIOptions struct {
 	// PrepCache, when non-nil and PrepFingerprint != 0, memoizes
 	// dataset-level preprocessing (the exact convex-point set) across
 	// sessions over the same dataset. Sampling mode is never cached (it
-	// consumes randomness); budgeted runs only read the cache, never
-	// populate it (a mid-scan stop would poison it with partial results).
+	// consumes randomness); runs under an active budget only read the
+	// cache, never populate it (a mid-scan stop would poison it with
+	// partial results).
 	PrepCache *prep.Cache
 	// PrepFingerprint keys PrepCache entries — ist.Fingerprint of the
 	// dataset the algorithm will run on. 0 disables caching.
@@ -230,17 +231,16 @@ const prepKindConvexExact = "convex-exact"
 
 // convexPoints picks the right convex-point detection for the mode and
 // dimension: the exact mode uses the LP-free upper-envelope method in 2-d
-// and the output-sensitive LP method otherwise. Under a tracker the exact
-// mode is budget-aware and degrades to sampling when its LPs go bad (a
-// non-Optimal solve on a healthy problem) instead of silently mislabeling
-// convex points.
+// and the output-sensitive LP method otherwise. When the LP scan fails (a
+// non-Optimal solve on a healthy problem) the exact mode degrades to
+// sampling, noted on the tracker, instead of mislabeling convex points.
 //
-// The exact paths honour opt.PrepCache: unbudgeted exact results are
+// The exact paths honour opt.PrepCache: complete exact results are
 // memoized under the dataset fingerprint with their event tape, so a
-// cached session emits the same stream a cold one does. Budgeted runs only
-// read the cache — a hit hands them the complete exact set for free, a miss
-// computes locally without populating (the scan may stop mid-way). Sampling
-// mode consumes randomness and is never cached.
+// cached session emits the same stream a cold one does. A run under an
+// active budget only reads the cache — a hit hands it the complete exact
+// set for free, a miss computes locally without populating (the scan may
+// stop mid-way). Sampling mode consumes randomness and is never cached.
 func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 	o := tr.observer()
 	if opt.Mode != ConvexExact {
@@ -253,40 +253,30 @@ func convexPoints(points []geom.Vector, opt HDPIOptions, tr *tracker) []int {
 		cache = nil
 	}
 	key := prep.Key{Fingerprint: opt.PrepFingerprint, Kind: prepKindConvexExact}
-	if len(points) > 0 && len(points[0]) == 2 {
-		if cache != nil {
-			v, err := cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
+	twoD := len(points) > 0 && len(points[0]) == 2
+	var V []int
+	var err error
+	if twoD || tr == nil || !tr.active {
+		// The 2-d envelope and a scan without an active budget always run
+		// to completion, so their results are memoized.
+		var v any
+		v, err = cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
+			if twoD {
 				V := hull.ConvexPoints2D(points)
 				obs.ConvexPointsFound(co, len(V), "2d-envelope")
 				return V, intsBytes(V), nil
-			})
-			if err == nil {
-				return copyInts(v.([]int))
 			}
+			V, err := hull.ConvexPointsExact(points, nil, co)
+			return V, intsBytes(V), err
+		})
+		if err == nil {
+			V = copyInts(v.([]int))
 		}
-		V := hull.ConvexPoints2D(points)
-		obs.ConvexPointsFound(o, len(V), "2d-envelope")
-		return V
-	}
-	if tr == nil || !tr.budgeted {
-		// Plain (possibly observer-carrying) run: the historical
-		// reject-on-bad-LP behaviour, traced when an observer rides along.
-		if cache != nil {
-			v, err := cache.Do(key, o, func(co obs.Observer) (any, int64, error) {
-				V, _ := hull.ConvexPointsExactObserved(points, nil, false, co)
-				return V, intsBytes(V), nil
-			})
-			if err == nil {
-				return copyInts(v.([]int))
-			}
-		}
-		V, _ := hull.ConvexPointsExactObserved(points, nil, false, o)
-		return V
-	}
-	if v, ok := cache.Lookup(key, o); ok {
+	} else if v, ok := cache.Lookup(key, o); ok {
 		return copyInts(v.([]int))
+	} else {
+		V, err = hull.ConvexPointsExact(points, tr.exhausted, o)
 	}
-	V, err := hull.ConvexPointsExactObserved(points, tr.exhausted, true, o)
 	if err == nil {
 		return V
 	}

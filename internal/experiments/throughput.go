@@ -44,7 +44,9 @@ func SessionsThroughput(cfg Config) *Table {
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		_, _ = hull.ConvexPointsExactObserved(band, nil, false, c) // non-strict: never errs
+		if _, err := hull.ConvexPointsExact(band, nil, c); err != nil {
+			panic(err)
+		}
 		scanSec += time.Since(start).Seconds()
 		runtime.ReadMemStats(&ms1)
 		solves += uint64(c.Count(obs.KindLPSolve))
@@ -79,7 +81,7 @@ func SessionsThroughput(cfg Config) *Table {
 		pts := skyband.Filter(points, v.([]int))
 		convexKey := prep.Key{Fingerprint: fp, Kind: "convex-exact"}
 		if _, err := cache.Do(convexKey, nil, func(o obs.Observer) (any, int64, error) {
-			vs, cerr := hull.ConvexPointsExactObserved(pts, nil, false, o)
+			vs, cerr := hull.ConvexPointsExact(pts, nil, o)
 			return vs, int64(len(vs))*8 + 24, cerr
 		}); err != nil {
 			panic(err)

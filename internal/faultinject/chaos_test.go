@@ -16,6 +16,7 @@ import (
 	"ist/internal/core"
 	"ist/internal/dataset"
 	"ist/internal/geom"
+	"ist/internal/obs"
 	"ist/internal/oracle"
 	"ist/internal/skyband"
 )
@@ -279,4 +280,29 @@ func TestChaosLPCorruptionDegradesAccurateMode(t *testing.T) {
 	if !found {
 		t.Fatalf("no accurate→sampling degradation recorded; degradations: %v", cert.Degradations)
 	}
+}
+
+// TestChaosLPCorruptionDegradesUnbudgetedAccurateMode is the same fault
+// under a plain Run, the way a server session without a budget runs: the
+// corrupted LP must switch accurate mode to sampling, visibly in the trace,
+// rather than silently reject the candidate it was testing.
+func TestChaosLPCorruptionDegradesUnbudgetedAccurateMode(t *testing.T) {
+	const k = 3
+	band := chaosBand(15, 150, 3, k)
+	u := oracle.NewUser(oracle.RandomUtility(rand.New(rand.NewSource(53)), 3))
+
+	uninstall := InstallLPFaults(Plan{LPCorruptAt: 1})
+	defer uninstall()
+
+	rec := &obs.Recorder{}
+	alg := core.NewHDPI(core.HDPIOptions{Mode: core.ConvexExact, Rng: rand.New(rand.NewSource(37)), Observer: rec})
+	if idx := alg.Run(band, k, u); idx < 0 || idx >= len(band) {
+		t.Fatalf("invalid point index %d", idx)
+	}
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindConvexPointTest && e.Note == "sampling" {
+			return
+		}
+	}
+	t.Fatal("no sampling convex-point-test event: the corrupted LP was not reported")
 }

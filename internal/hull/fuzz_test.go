@@ -140,7 +140,7 @@ func decodePoints(data []byte) []geom.Vector {
 	return pts
 }
 
-// FuzzConvexPointsExact checks the strict exact scan against independent
+// FuzzConvexPointsExact checks the exact scan against independent
 // oracles at n <= 40: vertex enumeration (every clearly convex point is
 // reported, every reported point is convex within the bracket, and the sets
 // are equal whenever no point sits inside the bracket), the 2-d upper
@@ -166,9 +166,9 @@ func FuzzConvexPointsExact(f *testing.F) {
 			return
 		}
 		d := len(pts[0])
-		got, err := ConvexPointsExactErr(pts, nil)
+		got, err := ConvexPointsExact(pts, nil, nil)
 		if err != nil {
-			t.Fatalf("strict scan failed: %v", err)
+			t.Fatalf("exact scan failed: %v", err)
 		}
 		sure := bruteConvex(pts, bruteMargin)
 		loose := bruteConvex(pts, -bruteMargin)
@@ -217,25 +217,22 @@ func TestConvexPointsExactGolden(t *testing.T) {
 	}
 	for seed, want := range golden {
 		band := servedBand(t, "car", 1000, 4, 20, seed)
-		got, err := ConvexPointsExactErr(band, nil)
+		got, err := ConvexPointsExact(band, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: convex points %v, want %v", seed, got, want)
 		}
-		if silent := ConvexPointsExact(band); !reflect.DeepEqual(silent, want) {
-			t.Fatalf("seed %d: non-strict scan %v, want %v", seed, silent, want)
-		}
 	}
 }
 
 // TestConvexPointsExactNoSilentMislabel covers the two served-size inputs
 // on which the margin LP of the exact scan used to come back non-Optimal:
-// the strict scan reported an error, and the non-strict scan a server runs
-// silently rejected the candidate, so weather (n=2000, d=4, k=5) lost 8 of
-// its 64 convex points — one of them top-1 under dense sampling. Both scans
-// must now succeed, agree, and contain every sampled winner.
+// the strict scan reported an error, and the non-strict scan a server then
+// ran silently rejected the candidate, so weather (n=2000, d=4, k=5) lost 8
+// of its 64 convex points — one of them top-1 under dense sampling. The
+// scan must now succeed and contain every sampled winner.
 func TestConvexPointsExactNoSilentMislabel(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -247,12 +244,9 @@ func TestConvexPointsExactNoSilentMislabel(t *testing.T) {
 	}
 	for _, c := range cases {
 		band := servedBand(t, c.name, c.n, c.d, c.k, c.seed)
-		got, err := ConvexPointsExactErr(band, nil)
+		got, err := ConvexPointsExact(band, nil, nil)
 		if err != nil {
-			t.Fatalf("%s: strict scan: %v", c.name, err)
-		}
-		if silent := ConvexPointsExact(band); !reflect.DeepEqual(silent, got) {
-			t.Fatalf("%s: non-strict scan found %d convex points, strict %d", c.name, len(silent), len(got))
+			t.Fatalf("%s: exact scan: %v", c.name, err)
 		}
 		sampled := ConvexPointsSampling(band, 100000, rand.New(rand.NewSource(c.seed)))
 		if !isSubset(sampled, got) {

@@ -35,37 +35,17 @@ import (
 )
 
 // ConvexPointsExact returns the indices of all points that are top-1 for at
-// least one utility vector (ties count as top-1). A non-optimal LP solve
-// conservatively rejects the candidate (the historical behaviour); use
-// ConvexPointsExactErr to detect that instead.
-func ConvexPointsExact(points []geom.Vector) []int {
-	v, _ := convexPointsExact(points, nil, false, nil)
-	return v
-}
-
-// ConvexPointsExactErr is ConvexPointsExact with two production affordances:
-// a non-Optimal LP solve — which on this always-feasible problem means
-// numerical trouble, not geometry — is reported as an error so callers can
-// degrade to sampling mode rather than silently mislabel convex points, and
-// an optional stop predicate (checked once per candidate, the unit of the
-// LP batch loop) lets a budgeted caller abandon the scan early, receiving
-// the convex points confirmed so far.
-func ConvexPointsExactErr(points []geom.Vector, stop func() bool) ([]int, error) {
-	return convexPointsExact(points, stop, true, nil)
-}
-
-// ConvexPointsExactObserved is the fully parameterized exact detection with
-// trace events: one lp-solve event per LP (via lp.SolveTraced) and one
-// convex-point-test event per candidate decision. stop optionally abandons
-// the scan early as in ConvexPointsExactErr; strict selects that function's
-// error reporting for bad LP solves (true) or ConvexPointsExact's historical
-// silent-reject behaviour (false), so instrumented callers can keep whichever
-// fault semantics they had before attaching an observer.
-func ConvexPointsExactObserved(points []geom.Vector, stop func() bool, strict bool, o obs.Observer) ([]int, error) {
-	return convexPointsExact(points, stop, strict, o)
-}
-
-func convexPointsExact(points []geom.Vector, stop func() bool, strict bool, o obs.Observer) ([]int, error) {
+// least one utility vector (ties count as top-1), in ascending order.
+//
+// A non-Optimal LP solve — which on this always-feasible problem means
+// numerical trouble, not geometry — is reported as an error together with
+// the convex points confirmed so far, so callers can degrade to sampling
+// rather than silently mislabel convex points. stop, when non-nil, is
+// checked once per candidate and lets a budgeted caller abandon the scan
+// early, again receiving the points confirmed so far. o receives one
+// lp-solve event per LP and one convex-point-test event per candidate
+// decision; nil is the silent fast path.
+func ConvexPointsExact(points []geom.Vector, stop func() bool, o obs.Observer) ([]int, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, nil
@@ -108,11 +88,8 @@ func convexPointsExact(points []geom.Vector, stop func() bool, strict bool, o ob
 				u, delta, ok = maxMinMargin(points, p, confirmedList, o)
 			}
 			if !ok {
-				if strict {
-					sort.Ints(confirmedList)
-					return confirmedList, fmt.Errorf("hull: convex-point LP for candidate %d returned a non-optimal status", p)
-				}
-				break // historical behaviour: reject the candidate
+				sort.Ints(confirmedList)
+				return confirmedList, fmt.Errorf("hull: convex-point LP for candidate %d returned a non-optimal status", p)
 			}
 			if delta < -geom.Eps {
 				break // beaten everywhere by confirmed points: not convex

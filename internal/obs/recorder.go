@@ -21,21 +21,11 @@ func (r *Recorder) Events() []Event { return r.events }
 // Len reports how many events are buffered.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// Replay emits every recorded event, in order, to o (nil-safe: replaying
-// into a nil observer is a no-op, like every emit in this package).
-func (r *Recorder) Replay(o Observer) {
-	for _, e := range r.events {
-		Emit(o, e)
-	}
-}
-
-// ReplayTape emits a recorded tape into o — Replay for tapes that were
-// detached from their Recorder (e.g. stored in the preprocessing cache).
+// ReplayTape emits a recorded tape, in order, into o (nil-safe: replaying
+// into a nil observer is a no-op, like every emit in this package). Tapes
+// are detached from their Recorder, e.g. stored in the preprocessing cache.
 func ReplayTape(tape []Event, o Observer) {
 	for _, e := range tape {
 		Emit(o, e)
 	}
 }
-
-// Reset drops the buffered events, keeping capacity for reuse.
-func (r *Recorder) Reset() { r.events = r.events[:0] }

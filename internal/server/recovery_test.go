@@ -3,7 +3,6 @@ package server
 import (
 	"math/rand"
 	"net/http"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -12,8 +11,8 @@ import (
 )
 
 // TestCrashRestartRecovery kills a server mid-session (simulated by
-// abandoning it without any shutdown courtesy) with a JSONL store enabled,
-// restarts on the same store file, and resumes the same session id to the
+// abandoning it without any shutdown courtesy) with a WAL store enabled,
+// restarts on the same store directory, and resumes the same session id to the
 // same result. The restarted session must pick up exactly where the user
 // left off: same pending question, same question count, no re-asked
 // questions beyond the replayed transcript.
@@ -21,9 +20,9 @@ func TestCrashRestartRecovery(t *testing.T) {
 	band, k, _ := testBand(t)
 	rng := rand.New(rand.NewSource(77))
 	hidden := ist.RandomUtility(rng, 4)
-	path := filepath.Join(t.TempDir(), "sessions.jsonl")
+	dir := t.TempDir()
 
-	storeA, err := OpenJSONLStore(path)
+	storeA, err := OpenWALStore(dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	pendingBeforeCrash := *st.Question
 	// Crash: no a.Close(), no store.Close() — the process just stops.
 
-	storeB, err := OpenJSONLStore(path)
+	storeB, err := OpenWALStore(dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +109,8 @@ func TestCrashRestartRecovery(t *testing.T) {
 // is dropped instead.
 func TestRestartSkipsForeignDataset(t *testing.T) {
 	band, k, _ := testBand(t)
-	path := filepath.Join(t.TempDir(), "sessions.jsonl")
-	storeA, err := OpenJSONLStore(path)
+	dir := t.TempDir()
+	storeA, err := OpenWALStore(dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestRestartSkipsForeignDataset(t *testing.T) {
 	// "Crash", then restart on a different dataset.
 	rng := rand.New(rand.NewSource(9))
 	other := ist.Preprocess(ist.NBALike(rng, 300).Points, k)
-	storeB, err := OpenJSONLStore(path)
+	storeB, err := OpenWALStore(dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +142,8 @@ func TestRestartSkipsForeignDataset(t *testing.T) {
 // path) must not Finish persisted sessions — the next boot resumes them.
 func TestGracefulShutdownKeepsSessionsReplayable(t *testing.T) {
 	band, k, _ := testBand(t)
-	path := filepath.Join(t.TempDir(), "sessions.jsonl")
-	storeA, err := OpenJSONLStore(path)
+	dir := t.TempDir()
+	storeA, err := OpenWALStore(dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestGracefulShutdownKeepsSessionsReplayable(t *testing.T) {
 	_, st := do(t, a, http.MethodPost, "/sessions", nil)
 	a.Close() // graceful: drains goroutines, keeps the store's records
 
-	storeB, err := OpenJSONLStore(path)
+	storeB, err := OpenWALStore(dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package server
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func testStoreRoundtrip(t *testing.T, mk func(t *testing.T) SessionStore) {
 	t.Helper()
@@ -51,74 +47,4 @@ func testStoreRoundtrip(t *testing.T, mk func(t *testing.T) SessionStore) {
 
 func TestMemStoreRoundtrip(t *testing.T) {
 	testStoreRoundtrip(t, func(t *testing.T) SessionStore { return NewMemStore() })
-}
-
-func TestJSONLStoreRoundtrip(t *testing.T) {
-	testStoreRoundtrip(t, func(t *testing.T) SessionStore {
-		s, err := OpenJSONLStore(filepath.Join(t.TempDir(), "s.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	})
-}
-
-func TestJSONLStoreSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.jsonl")
-	a, err := OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Create(SessionRecord{ID: "s1", Algorithm: "rh", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Answer("s1", true); err != nil {
-		t.Fatal(err)
-	}
-	// No Close: simulate a crash, then append through a fresh handle.
-	b, err := OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Answer("s1", false); err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := b.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || len(recs[0].Answers) != 2 || !recs[0].Answers[0] || recs[0].Answers[1] {
-		t.Fatalf("folded record wrong after reopen: %+v", recs)
-	}
-}
-
-func TestJSONLStoreToleratesTornFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.jsonl")
-	s, err := OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create(SessionRecord{ID: "s1", Algorithm: "rh", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Answer("s1", true); err != nil {
-		t.Fatal(err)
-	}
-	// A crash mid-write leaves a torn trailing line.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"answer","id":"s1","ans`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	recs, lastID, err := s.Load()
-	if err != nil {
-		t.Fatalf("torn final line must not fail Load: %v", err)
-	}
-	if lastID != 1 || len(recs) != 1 || len(recs[0].Answers) != 1 {
-		t.Fatalf("torn line corrupted the fold: recs=%+v lastID=%d", recs, lastID)
-	}
 }

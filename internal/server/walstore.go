@@ -2,10 +2,8 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
-	"os"
 	"sync"
 	"time"
 
@@ -34,12 +32,6 @@ type WALOptions struct {
 	FS wal.FS
 	// Metrics, when set, surfaces the log's durability metrics.
 	Metrics *wal.Metrics
-	// MigrateJSONL names a legacy JSONL store file. When the WAL directory
-	// is empty and this file exists, its sessions are folded into the
-	// store's first snapshot and the file is renamed to <name>.migrated —
-	// a one-shot, re-entrant migration (a crash mid-migration re-runs it;
-	// a second boot finds no file and skips it).
-	MigrateJSONL string
 }
 
 // walSnapshot is the folded state a snapshot persists.
@@ -50,9 +42,8 @@ type walSnapshot struct {
 
 // WALStore is the crash-safe SessionStore: events go to a checksummed,
 // segment-rotated write-ahead log (internal/wal) and are periodically
-// folded into an atomic snapshot. Unlike JSONLStore it also keeps the
-// folded state in memory, so Load is O(live sessions) and snapshots never
-// re-read the log.
+// folded into an atomic snapshot. It also keeps the folded state in
+// memory, so Load is O(live sessions) and snapshots never re-read the log.
 type WALStore struct {
 	mu            sync.Mutex
 	log           *wal.Log
@@ -60,7 +51,6 @@ type WALStore struct {
 	appends       int // since the last snapshot
 	snapshotEvery int
 	recovery      wal.Recovery
-	migrated      int // sessions imported from a legacy JSONL store
 }
 
 // OpenWALStore opens (creating if needed) the WAL session store in dir,
@@ -112,57 +102,7 @@ func OpenWALStore(dir string, o WALOptions) (*WALStore, error) {
 		log.Printf("server: walstore: recovered %s with damage: %d corrupt record(s) skipped, %d segment(s) quarantined, %d snapshot(s) discarded",
 			dir, s.recovery.CorruptRecords, s.recovery.QuarantinedSegments, s.recovery.DiscardedSnapshots)
 	}
-	if rec.Snapshot == nil && len(rec.Records) == 0 && o.MigrateJSONL != "" {
-		if err := s.migrate(o.MigrateJSONL); err != nil {
-			_ = l.Close()
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// migrate folds a legacy JSONL store into this store's first snapshot,
-// then renames the file out of the way. Called only on an empty WAL.
-func (s *WALStore) migrate(path string) error {
-	if _, err := os.Stat(path); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("server: walstore: migrate: %w", err)
-	}
-	legacy, err := OpenJSONLStore(path)
-	if err != nil {
-		return fmt.Errorf("server: walstore: migrate: %w", err)
-	}
-	recs, lastID, err := legacy.Load()
-	if cerr := legacy.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("server: walstore: migrate: %w", err)
-	}
-	for i := range recs {
-		cp := recs[i]
-		s.fold.apply(storeEvent{Op: "create", ID: cp.ID, Rec: &cp})
-	}
-	if lastID > s.fold.lastID {
-		s.fold.lastID = lastID
-	}
-	// The snapshot is the durability point of the migration: only after it
-	// lands does the legacy file move aside. A crash in between re-runs
-	// the migration idempotently on the next boot.
-	if err := s.snapshotLocked(); err != nil {
-		return fmt.Errorf("server: walstore: migrate: %w", err)
-	}
-	if err := os.Rename(path, path+".migrated"); err != nil {
-		return fmt.Errorf("server: walstore: migrate: %w", err)
-	}
-	s.migrated = len(recs)
-	if skipped := legacy.CorruptLines(); skipped > 0 {
-		log.Printf("server: walstore: migration skipped %d corrupt line(s) in %s", skipped, path)
-	}
-	log.Printf("server: walstore: migrated %d session(s) from %s (renamed to %s.migrated)", len(recs), path, path)
-	return nil
 }
 
 // append persists one event and folds it into the in-memory state —
@@ -197,7 +137,7 @@ func (s *WALStore) appendSpan(ev storeEvent, parent *obs.Span) error {
 }
 
 // snapshotLocked writes the folded state as a durable snapshot (and lets
-// the log compact). Callers hold s.mu (or have exclusive access).
+// the log compact). Callers hold s.mu.
 func (s *WALStore) snapshotLocked() error {
 	payload, err := json.Marshal(walSnapshot{Recs: s.fold.records(), LastID: s.fold.lastID})
 	if err != nil {
@@ -221,10 +161,6 @@ func (s *WALStore) Snapshot() error {
 // Recovery returns the damage report from Open.
 func (s *WALStore) Recovery() wal.Recovery { return s.recovery }
 
-// Migrated reports how many sessions Open imported from a legacy JSONL
-// store (0 when no migration ran).
-func (s *WALStore) Migrated() int { return s.migrated }
-
 // Create implements SessionStore.
 func (s *WALStore) Create(rec SessionRecord) error {
 	cp := rec
@@ -236,7 +172,7 @@ func (s *WALStore) Answer(id string, preferFirst bool) error {
 	return s.AnswerSpan(id, preferFirst, nil)
 }
 
-// AnswerSpan implements SpanStore: Answer with the persistence traced
+// AnswerSpan implements SpanSessionStore: Answer with the persistence traced
 // under parent.
 func (s *WALStore) AnswerSpan(id string, preferFirst bool, parent *obs.Span) error {
 	s.mu.Lock()

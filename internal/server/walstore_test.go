@@ -1,14 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
-	"time"
-
-	"ist/internal/clock"
-	"ist/internal/wal"
 )
 
 func TestWALStoreRoundtrip(t *testing.T) {
@@ -115,168 +109,5 @@ func TestWALStoreSnapshotCompaction(t *testing.T) {
 		if ans != (i%3 == 0) {
 			t.Fatalf("answer %d flipped after snapshot round-trip", i)
 		}
-	}
-}
-
-// TestWALStoreMigratesLegacyJSONL: pointing a fresh WAL store at an
-// existing JSONL file imports its sessions once and moves the file aside.
-func TestWALStoreMigratesLegacyJSONL(t *testing.T) {
-	tmp := t.TempDir()
-	legacyPath := filepath.Join(tmp, "sessions.jsonl")
-	legacy, err := OpenJSONLStore(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Create(SessionRecord{ID: "s1", Algorithm: "rh", Seed: 8, Fingerprint: 0xabc}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ans := range []bool{true, false, true} {
-		if err := legacy.Answer("s1", ans); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := legacy.Create(SessionRecord{ID: "s2", Algorithm: "hdpi", Seed: 9, Fingerprint: 0xabc}); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Finish("s2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := filepath.Join(tmp, "store")
-	s, err := OpenWALStore(dir, WALOptions{MigrateJSONL: legacyPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Migrated() != 1 {
-		t.Errorf("Migrated() = %d, want 1 (s2 was finished)", s.Migrated())
-	}
-	recs, lastID, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastID != 2 || len(recs) != 1 || recs[0].ID != "s1" || len(recs[0].Answers) != 3 {
-		t.Fatalf("migrated state wrong: lastID=%d recs=%+v", lastID, recs)
-	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Errorf("legacy file still present after migration: %v", err)
-	}
-	if _, err := os.Stat(legacyPath + ".migrated"); err != nil {
-		t.Errorf("legacy file not preserved as .migrated: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second boot migrates nothing and sees the same state.
-	s2, err := OpenWALStore(dir, WALOptions{MigrateJSONL: legacyPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s2.Close() }()
-	if s2.Migrated() != 0 {
-		t.Errorf("second boot re-migrated %d sessions", s2.Migrated())
-	}
-	recs2, lastID2, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastID2 != 2 || len(recs2) != 1 || len(recs2[0].Answers) != 3 {
-		t.Fatalf("state after second boot: lastID=%d recs=%+v", lastID2, recs2)
-	}
-}
-
-// TestJSONLStoreSkipsCorruptMidLine: one bad sector mid-file must not
-// discard the sessions recorded after it.
-func TestJSONLStoreSkipsCorruptMidLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.jsonl")
-	s, err := OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create(SessionRecord{ID: "s1", Algorithm: "rh", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Answer("s1", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create(SessionRecord{ID: "s2", Algorithm: "hdpi", Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the middle line (the answer), leaving its newline in place.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitN(data, []byte("\n"), 3)
-	if len(lines) != 3 {
-		t.Fatalf("expected 3 chunks, got %d", len(lines))
-	}
-	for i := range lines[1] {
-		lines[1][i] = 'X'
-	}
-	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Close() }()
-	recs, lastID, err := r.Load()
-	if err != nil {
-		t.Fatalf("mid-file corruption must not fail Load: %v", err)
-	}
-	if r.CorruptLines() != 1 {
-		t.Errorf("CorruptLines() = %d, want 1", r.CorruptLines())
-	}
-	if lastID != 2 || len(recs) != 2 {
-		t.Fatalf("sessions after the bad line lost: lastID=%d recs=%+v", lastID, recs)
-	}
-	if recs[0].ID != "s1" || len(recs[0].Answers) != 0 || recs[1].ID != "s2" {
-		t.Fatalf("fold wrong after skipping corruption: %+v", recs)
-	}
-}
-
-// TestJSONLStoreIntervalPolicy: the interval policy batches fsyncs on the
-// injected clock and Close flushes the remainder — here just pinned to not
-// error and to keep the data readable.
-func TestJSONLStoreIntervalPolicy(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.jsonl")
-	clk := clock.NewFake(time.Unix(0, 0))
-	s, err := OpenJSONLStoreSync(path, wal.SyncInterval, 50*time.Millisecond, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create(SessionRecord{ID: "s1", Algorithm: "rh", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(60 * time.Millisecond)
-	if err := s.Answer("s1", true); err != nil { // crosses the interval: syncs
-		t.Fatal(err)
-	}
-	if err := s.Answer("s1", false); err != nil { // buffered until Close
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Close() }()
-	recs, _, err := r.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || len(recs[0].Answers) != 2 {
-		t.Fatalf("interval-policy store lost data on graceful close: %+v", recs)
 	}
 }
