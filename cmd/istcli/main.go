@@ -160,11 +160,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "istcli: unknown algorithm", *algName)
 		os.Exit(1)
 	}
-	if *trace {
-		// Tracing is passive: the question sequence is identical either way.
-		ist.Observe(alg, ist.NewTraceWriter(os.Stderr))
-	}
-
 	var o ist.Oracle
 	var hidden ist.Point
 	if *simulate {
@@ -233,16 +228,16 @@ func main() {
 		return
 	}
 
-	var res ist.Result
-	if *maxQ > 0 || *timeout > 0 {
-		b := ist.Budget{MaxQuestions: *maxQ}
-		if *timeout > 0 {
-			b.Deadline = time.Now().Add(*timeout)
-		}
-		res = ist.SolveBudgeted(alg, band, *k, o, b)
-	} else {
-		res = ist.Solve(alg, band, *k, o)
+	b := ist.Budget{MaxQuestions: *maxQ}
+	if *timeout > 0 {
+		b.Deadline = time.Now().Add(*timeout)
 	}
+	opts := []ist.Option{ist.WithBudget(b)}
+	if *trace {
+		// Tracing is passive: the question sequence is identical either way.
+		opts = append(opts, ist.WithObserver(ist.NewTraceWriter(os.Stderr)))
+	}
+	res := ist.Solve(alg, band, *k, o, opts...)
 	fmt.Printf("\n%s finished after %d questions (%.3fs processing).\n", alg.Name(), res.Questions, res.Duration.Seconds())
 	fmt.Printf("Recommended tuple: %v\n", res.Point)
 	if c := res.Certificate; c != nil {

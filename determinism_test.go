@@ -41,11 +41,11 @@ func freezeLPClockFacade(t *testing.T) {
 // errors so concurrent sessions can run it off the test goroutine.
 func runTranscript(alg Algorithm, band []Point, k int, hidden Point, maxQ int) (runRecord, error) {
 	rec := &obs.Recorder{}
-	opts := []SessionOption{WithObserver(rec)}
+	opts := []Option{WithObserver(rec)}
 	if maxQ > 0 {
-		opts = append(opts, WithMaxQuestions(maxQ))
+		opts = append(opts, WithBudget(Budget{MaxQuestions: maxQ}))
 	}
-	s := NewSessionContext(nil, alg, band, k, opts...)
+	s := NewSession(alg, band, k, opts...)
 	defer s.Close()
 	var r runRecord
 	for steps := 0; ; steps++ {

@@ -167,6 +167,45 @@ func (f *flakyStore) setFail(v bool) {
 	f.mu.Unlock()
 }
 
+// countingStore wraps a SessionStore, counting Finish calls per session.
+type countingStore struct {
+	SessionStore
+	mu       sync.Mutex
+	finishes map[string]int
+}
+
+func (c *countingStore) Finish(id string) error {
+	c.mu.Lock()
+	c.finishes[id]++
+	c.mu.Unlock()
+	return c.SessionStore.Finish(id)
+}
+
+// TestDeleteAfterDoneFinishesOnce: a completed session's record is finished
+// when it completes, so the client's DELETE must not write a second finish
+// record.
+func TestDeleteAfterDoneFinishesOnce(t *testing.T) {
+	band, k, hidden := testBand(t)
+	store := &countingStore{SessionStore: NewMemStore(), finishes: map[string]int{}}
+	srv, err := New(band, k, Options{Seed: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, st := do(t, srv, http.MethodPost, "/sessions", nil)
+	if _, ok := drive(t, srv, st, hidden); !ok {
+		t.Fatal("session did not finish")
+	}
+	if rec, _ := do(t, srv, http.MethodDelete, "/sessions/"+st.ID, nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("delete: code %d", rec.Code)
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if n := store.finishes[st.ID]; n != 1 {
+		t.Fatalf("Finish called %d times for a completed, deleted session; want 1", n)
+	}
+}
+
 // TestStoreErrorRefusesAnswer: a failed persist must refuse the request
 // (503 + Retry-After) WITHOUT applying the answer in memory — the old
 // log-and-continue path let memory diverge from the WAL, so a crash after

@@ -13,7 +13,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -174,6 +173,10 @@ type sessionState struct {
 	curP     ist.Point
 	curQ     ist.Point
 	done     bool
+	// finished is set by advance once the session completes and its store
+	// record is finished. It is atomic so the session cap can find evictable
+	// sessions under Server.mu without taking each st.mu.
+	finished atomic.Bool
 	failed   error
 	result   ist.Point
 	resultID int
@@ -289,20 +292,17 @@ func New(points []ist.Point, k int, opt Options) (*Server, error) {
 	return srv, nil
 }
 
-// sessionOptions builds each session's anytime options from the server
+// sessionOptions builds each session's anytime budget from the server
 // configuration plus the session's observer (the shared metrics bridge and,
 // with TraceDir set, a JSONL trace file named after the session id). The
 // deadline is anchored at session creation (or rehydration) time.
-func (srv *Server) sessionOptions(id string, st *sessionState) []ist.SessionOption {
-	var opts []ist.SessionOption
-	if srv.opt.MaxQuestions > 0 {
-		opts = append(opts, ist.WithMaxQuestions(srv.opt.MaxQuestions))
-	}
+func (srv *Server) sessionOptions(id string, st *sessionState) []ist.Option {
+	b := ist.Budget{MaxQuestions: srv.opt.MaxQuestions}
 	if srv.opt.SessionDeadline > 0 {
-		opts = append(opts, ist.WithDeadline(srv.now().Add(srv.opt.SessionDeadline)))
-		if srv.opt.Clock != nil {
-			opts = append(opts, ist.WithClock(srv.opt.Clock))
-		}
+		// Clock also times Certificate.Elapsed, so it joins the budget only
+		// with a deadline.
+		b.Deadline = srv.now().Add(srv.opt.SessionDeadline)
+		b.Clock = srv.opt.Clock
 	}
 	observers := []obs.Observer{srv.bridge}
 	if srv.opt.TraceDir != "" {
@@ -323,8 +323,7 @@ func (srv *Server) sessionOptions(id string, st *sessionState) []ist.SessionOpti
 	if st.spanObs != nil {
 		observers = append(observers, st.spanObs)
 	}
-	opts = append(opts, ist.WithObserver(obs.Combine(observers...)))
-	return opts
+	return []ist.Option{ist.WithBudget(b), ist.WithObserver(obs.Combine(observers...))}
 }
 
 // setupTracing builds a session's span plumbing: a tracer whose ids derive
@@ -410,20 +409,17 @@ func (srv *Server) rehydrate() error {
 		// trace id died with the previous process, and replay spans would
 		// only pollute it anyway.
 		srv.setupTracing(rec.ID, st, rec.Seed, obs.SpanContext{})
-		s, err := ist.ResumeSessionContext(context.Background(), alg, srv.points, srv.k, rec.Answers, srv.sessionOptions(rec.ID, st)...)
+		s, err := ist.ResumeSession(alg, srv.points, srv.k, rec.Answers, srv.sessionOptions(rec.ID, st)...)
 		if err != nil {
 			log.Printf("server: session %s failed to replay: %v; dropping", rec.ID, err)
-			srv.closeTrace(st)
-			_ = srv.opt.Store.Finish(rec.ID)
+			srv.end(rec.ID, st, true)
 			continue
 		}
 		st.s = s
 		srv.sessionsTotal.Inc()
 		srv.advance(rec.ID, st)
 		if st.failed != nil {
-			s.Close()
-			srv.closeTrace(st)
-			_ = srv.opt.Store.Finish(rec.ID)
+			srv.end(rec.ID, st, true)
 			continue
 		}
 		srv.sessions[rec.ID] = st
@@ -471,23 +467,15 @@ func (srv *Server) Close() {
 		return
 	}
 	srv.closed = true
-	live := make([]*sessionState, 0, len(srv.sessions))
-	for _, st := range srv.sessions {
-		live = append(live, st)
-	}
+	live := srv.sessions
 	srv.sessions = map[string]*sessionState{}
 	srv.mu.Unlock()
 	if srv.reapStop != nil {
 		close(srv.reapStop)
 		<-srv.reapDone
 	}
-	for _, st := range live {
-		st.mu.Lock()
-		if st.s != nil {
-			st.s.Close()
-		}
-		st.mu.Unlock()
-		srv.closeTrace(st)
+	for id, st := range live {
+		srv.end(id, st, false)
 	}
 	if srv.opt.Store != nil {
 		_ = srv.opt.Store.Close()
@@ -735,11 +723,23 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
+	var evictID string
+	var evict *sessionState
 	if srv.opt.MaxSessions > 0 && len(srv.sessions) >= srv.opt.MaxSessions {
-		srv.mu.Unlock()
-		w.Header().Set("Retry-After", srv.retryAfter())
-		http.Error(w, "session limit reached", http.StatusTooManyRequests)
-		return
+		// A finished session only answers replays of its final answer; the
+		// least recently used one gives up its slot to the new session.
+		for oid, ost := range srv.sessions {
+			if ost.finished.Load() && (evict == nil || ost.lastUsed.Before(evict.lastUsed)) {
+				evictID, evict = oid, ost
+			}
+		}
+		if evict == nil {
+			srv.mu.Unlock()
+			w.Header().Set("Retry-After", srv.retryAfter())
+			http.Error(w, "session limit reached", http.StatusTooManyRequests)
+			return
+		}
+		delete(srv.sessions, evictID)
 	}
 	srv.nextID++
 	id := fmt.Sprintf("s%d", srv.nextID)
@@ -751,6 +751,9 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	st.mu.Lock()
 	srv.sessions[id] = st
 	srv.mu.Unlock()
+	if evict != nil {
+		srv.end(evictID, evict, true)
+	}
 
 	// The client owns the trace: a valid traceparent makes its trace id the
 	// session's trace id, so every span this session ever emits — on either
@@ -768,7 +771,7 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		alg = srv.opt.WrapAlgorithm(id, alg)
 	}
 	srv.sessionsTotal.Inc()
-	st.s = ist.NewSessionContext(context.Background(), alg, srv.points, srv.k, srv.sessionOptions(id, st)...)
+	st.s = ist.NewSession(alg, srv.points, srv.k, srv.sessionOptions(id, st)...)
 	if srv.opt.Store != nil {
 		if err := srv.opt.Store.Create(SessionRecord{ID: id, Algorithm: name, Seed: seed, Fingerprint: srv.fp}); err != nil {
 			log.Printf("server: persist create %s: %v", id, err)
@@ -780,7 +783,7 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	failed := st.failed
 	st.mu.Unlock()
 	if failed != nil {
-		srv.teardown(id, st)
+		srv.end(id, st, true)
 		http.Error(w, "session failed: "+failed.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -797,7 +800,7 @@ func (srv *Server) handleGet(w http.ResponseWriter, id string) {
 	failed := st.failed
 	st.mu.Unlock()
 	if failed != nil {
-		srv.teardown(id, st)
+		srv.end(id, st, true)
 		http.Error(w, "session failed: "+failed.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -805,25 +808,12 @@ func (srv *Server) handleGet(w http.ResponseWriter, id string) {
 }
 
 func (srv *Server) handleDelete(w http.ResponseWriter, id string) {
-	srv.mu.Lock()
-	st, ok := srv.sessions[id]
-	if ok {
-		delete(srv.sessions, id)
-	}
-	srv.mu.Unlock()
-	if !ok {
+	st := srv.peek(id)
+	if st == nil {
 		http.Error(w, "no such session", http.StatusNotFound)
 		return
 	}
-	st.mu.Lock()
-	if st.s != nil {
-		st.s.Close()
-	}
-	st.mu.Unlock()
-	srv.closeTrace(st)
-	if srv.opt.Store != nil {
-		_ = srv.opt.Store.Finish(id)
-	}
+	srv.end(id, st, true)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -872,7 +862,7 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 	if st.failed != nil {
 		failed := st.failed
 		st.mu.Unlock()
-		srv.teardown(id, st)
+		srv.end(id, st, true)
 		http.Error(w, "session failed: "+failed.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -933,7 +923,7 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		if algErr := st.s.Err(); algErr != nil {
 			st.failed = algErr
 			st.mu.Unlock()
-			srv.teardown(id, st)
+			srv.end(id, st, true)
 			http.Error(w, "session failed: "+algErr.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -958,7 +948,7 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 	exhausted := st.done && st.cert != nil && !st.cert.Certified
 	st.mu.Unlock()
 	if failed != nil {
-		srv.teardown(id, st)
+		srv.end(id, st, true)
 		http.Error(w, "session failed: "+failed.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -1017,17 +1007,25 @@ func (srv *Server) advance(id string, st *sessionState) {
 		if srv.opt.Store != nil {
 			_ = srv.opt.Store.Finish(id)
 		}
+		st.finished.Store(true)
 		return
 	}
 	st.curP, st.curQ = p, q
 	st.questionAt = srv.now()
 }
 
-// teardown removes a failed session, releases its goroutine, and forgets
-// its persisted record. Callers must NOT hold st.mu.
-func (srv *Server) teardown(id string, st *sessionState) {
+// end is the one way a session ends — deleted, failed, expired, evicted,
+// dropped during rehydration, or shut down. It removes the session from the
+// map (if the map still holds st), releases its goroutine, dumps the flight
+// recorder of a failed session, and closes its trace. With finish set it
+// also forgets the persisted record, unless advance already did when the
+// session completed; Close passes finish=false so a graceful shutdown keeps
+// sessions replayable. Callers must NOT hold st.mu or srv.mu.
+func (srv *Server) end(id string, st *sessionState, finish bool) {
 	srv.mu.Lock()
-	delete(srv.sessions, id)
+	if srv.sessions[id] == st {
+		delete(srv.sessions, id)
+	}
 	srv.mu.Unlock()
 	st.mu.Lock()
 	if st.s != nil {
@@ -1036,12 +1034,12 @@ func (srv *Server) teardown(id string, st *sessionState) {
 	failed := st.failed
 	st.mu.Unlock()
 	if failed != nil {
-		// A torn-down failed session is almost always a rescued panic: dump
-		// the flight recorder so the last spans before death are on disk.
+		// A failed session is almost always a rescued panic: dump the flight
+		// recorder so the last spans before death are on disk.
 		srv.dumpFlight(id, st, "session-failure")
 	}
 	srv.closeTrace(st)
-	if srv.opt.Store != nil {
+	if finish && !st.finished.Load() && srv.opt.Store != nil {
 		_ = srv.opt.Store.Finish(id)
 	}
 }
@@ -1087,15 +1085,7 @@ func (srv *Server) expire() {
 	}
 	srv.mu.Unlock()
 	for _, e := range stale {
-		e.st.mu.Lock()
-		if e.st.s != nil {
-			e.st.s.Close()
-		}
-		e.st.mu.Unlock()
-		srv.closeTrace(e.st)
-		if srv.opt.Store != nil {
-			_ = srv.opt.Store.Finish(e.id)
-		}
+		srv.end(e.id, e.st, true)
 	}
 }
 

@@ -227,7 +227,7 @@ func TestBackgroundReaper(t *testing.T) {
 }
 
 func TestMaxSessions(t *testing.T) {
-	band, k, _ := testBand(t)
+	band, k, hidden := testBand(t)
 	srv, err := New(band, k, Options{Seed: 1, TTL: time.Minute, MaxSessions: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -244,9 +244,25 @@ func TestMaxSessions(t *testing.T) {
 	}
 	// Freeing a slot makes creation work again.
 	do(t, srv, http.MethodDelete, "/sessions/"+st1.ID, nil)
-	rec, _ = do(t, srv, http.MethodPost, "/sessions", nil)
+	rec, st3 := do(t, srv, http.MethodPost, "/sessions", nil)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("create after delete: code %d, want 201", rec.Code)
+	}
+	// A finished session gives its slot up to the next create.
+	if _, ok := drive(t, srv, st3, hidden); !ok {
+		t.Fatal("session did not finish")
+	}
+	rec, _ = do(t, srv, http.MethodPost, "/sessions", nil)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create at the cap with a finished session: code %d, want 201", rec.Code)
+	}
+	if rec, _ := do(t, srv, http.MethodGet, "/sessions/"+st3.ID, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("evicted finished session: code %d, want 404", rec.Code)
+	}
+	// Every slot now holds an unfinished session.
+	rec, _ = do(t, srv, http.MethodPost, "/sessions", nil)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("create with no finished session to evict: code %d, want 429", rec.Code)
 	}
 }
 

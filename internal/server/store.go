@@ -156,6 +156,18 @@ func (f *eventFold) apply(ev storeEvent) {
 		}
 	case "finish":
 		delete(f.recs, ev.ID)
+		// Drop finished ids from order once they outnumber the live ones;
+		// each compaction pays for the finishes since the last, so order
+		// stays O(live sessions) at amortised O(1) per finish.
+		if len(f.order) > 2*len(f.recs)+64 {
+			live := f.order[:0]
+			for _, id := range f.order {
+				if _, ok := f.recs[id]; ok {
+					live = append(live, id)
+				}
+			}
+			f.order = live
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package server
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func testStoreRoundtrip(t *testing.T, mk func(t *testing.T) SessionStore) {
 	t.Helper()
@@ -47,4 +50,34 @@ func testStoreRoundtrip(t *testing.T, mk func(t *testing.T) SessionStore) {
 
 func TestMemStoreRoundtrip(t *testing.T) {
 	testStoreRoundtrip(t, func(t *testing.T) SessionStore { return NewMemStore() })
+}
+
+// TestEventFoldOrderStaysBounded: finished sessions must not pin their ids
+// in the fold's creation order forever, and records() must keep creation
+// order across compactions.
+func TestEventFoldOrderStaysBounded(t *testing.T) {
+	f := newEventFold()
+	live := []string{"s0"}
+	f.apply(storeEvent{Op: "create", ID: "s0", Rec: &SessionRecord{ID: "s0"}})
+	for i := 1; i <= 1000; i++ {
+		id := fmt.Sprintf("s%d", i)
+		f.apply(storeEvent{Op: "create", ID: id, Rec: &SessionRecord{ID: id}})
+		if i%100 == 0 {
+			live = append(live, id) // keep every hundredth session open
+			continue
+		}
+		f.apply(storeEvent{Op: "finish", ID: id})
+	}
+	if max := 2*len(f.recs) + 64; len(f.order) > max {
+		t.Fatalf("len(order) = %d after 1000 create+finish pairs, want <= %d", len(f.order), max)
+	}
+	recs := f.records()
+	if len(recs) != len(live) {
+		t.Fatalf("records() = %d sessions, want %d", len(recs), len(live))
+	}
+	for i, rec := range recs {
+		if rec.ID != live[i] {
+			t.Fatalf("records()[%d] = %s, want %s (creation order)", i, rec.ID, live[i])
+		}
+	}
 }

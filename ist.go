@@ -27,6 +27,13 @@
 //	user := ist.NewUser(hiddenUtility)            // or a real io-based oracle
 //	res := ist.Solve(ist.NewRH(42), band, 10, user)
 //	fmt.Println(res.Point, res.Questions)
+//
+// There is one entry point per operation: Solve runs an algorithm against an
+// Oracle to completion, NewSession drives it one question at a time for a
+// caller that cannot block (a web service), and ResumeSession rebuilds such
+// a session from its answer log. All three take the same two options:
+// WithBudget bounds the run and attaches a Certificate to its outcome, and
+// WithObserver traces it.
 package ist
 
 import (
@@ -238,38 +245,83 @@ type Result struct {
 	// simulated oracle answers in ~0, so this matches the paper's
 	// "execution time").
 	Duration time.Duration
-	// Certificate describes how a budgeted run ended; nil for plain Solve.
+	// Certificate describes how a budgeted run ended; nil for an
+	// unbudgeted one.
 	Certificate *Certificate
 }
 
-// Solve runs an algorithm against the oracle and packages the outcome.
-func Solve(alg Algorithm, points []Point, k int, o Oracle) Result {
-	before := o.Questions()
-	start := clock.Real.Now()
-	idx := alg.Run(points, k, o)
-	return Result{
-		Index:     idx,
-		Point:     points[idx].Clone(),
-		Questions: o.Questions() - before,
-		Duration:  clock.Real.Now().Sub(start),
-	}
+// Option configures Solve, NewSession and ResumeSession.
+type Option func(*config)
+
+type config struct {
+	budget   Budget
+	observer Observer
 }
 
-// SolveBudgeted is Solve under an anytime budget: the run stops cleanly when
-// the budget is exhausted (questions, deadline, or context cancellation) and
-// the Result carries a Certificate stating whether the returned point is
-// still guaranteed top-k or only best-effort. Algorithms that do not
-// implement budget checks run to completion and certify their own result.
-func SolveBudgeted(alg Algorithm, points []Point, k int, o Oracle, b Budget) Result {
+// WithBudget runs the algorithm under the given anytime budget: the run
+// checks it at every question boundary and inside its heavy loops, and when
+// it runs out — questions, deadline, or cancellation of b.Ctx — finishes
+// cleanly with a best-effort result and an uncertified Certificate instead
+// of asking more questions. A Ctx that can never be canceled (its Done
+// channel is nil, as for context.Background) is dropped, so on its own it
+// leaves the run unbudgeted.
+//
+// A budgeted run also absorbs algorithm panics into best-effort results
+// (Reason "panic-recovered") rather than failing — anytime means the user
+// always gets a point. Algorithms that do not implement budget checks run to
+// completion and certify their own result.
+func WithBudget(b Budget) Option {
+	if b.Ctx != nil && b.Ctx.Done() == nil {
+		b.Ctx = nil
+	}
+	return func(c *config) { c.budget = b }
+}
+
+// WithObserver attaches a trace observer to the algorithm (see Observe). It
+// is ignored for algorithms that do not support tracing. Observation is
+// passive: the question sequence, answers and result are bit-identical with
+// and without an observer.
+func WithObserver(o Observer) Option {
+	return func(c *config) { c.observer = o }
+}
+
+// configure applies opts and attaches the observer to alg.
+func configure(alg Algorithm, opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.observer != nil {
+		Observe(alg, cfg.observer)
+	}
+	return cfg
+}
+
+// run executes alg against o: under core.RunBudgeted with a certificate when
+// the budget is active, as a plain alg.Run with a nil certificate otherwise.
+// An inactive budget leaves the run bit-identical to an unbudgeted one.
+func run(alg Algorithm, points []Point, k int, o Oracle, b Budget) (int, *Certificate) {
+	if !b.Active() {
+		return alg.Run(points, k, o), nil
+	}
+	idx, cert := core.RunBudgeted(alg, points, k, o, b)
+	return idx, &cert
+}
+
+// Solve runs an algorithm against the oracle and packages the outcome. With
+// WithBudget the Result carries a Certificate stating whether the returned
+// point is guaranteed top-k or only best-effort.
+func Solve(alg Algorithm, points []Point, k int, o Oracle, opts ...Option) Result {
+	cfg := configure(alg, opts)
 	before := o.Questions()
 	start := clock.Real.Now()
-	idx, cert := core.RunBudgeted(alg, points, k, o, b)
+	idx, cert := run(alg, points, k, o, cfg.budget)
 	return Result{
 		Index:       idx,
 		Point:       points[idx].Clone(),
 		Questions:   o.Questions() - before,
 		Duration:    clock.Real.Now().Sub(start),
-		Certificate: &cert,
+		Certificate: cert,
 	}
 }
 

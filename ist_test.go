@@ -30,6 +30,31 @@ func TestSolveEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSolveCertificate checks that Solve certifies exactly the budgeted
+// runs: an exhausted question budget yields an uncertified certificate
+// naming the budget, and a plain run yields none.
+func TestSolveCertificate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ds := AntiCorrelated(rng, 600, 4)
+	k := 3
+	band := Preprocess(ds.Points, k)
+	u := RandomUtility(rng, 4)
+
+	res := Solve(NewRH(5), band, k, NewUser(u), WithBudget(Budget{MaxQuestions: 2}))
+	if res.Certificate == nil {
+		t.Fatal("budgeted Solve returned no certificate")
+	}
+	if res.Certificate.Certified || res.Certificate.Reason != StopQuestions {
+		t.Fatalf("certificate = %+v, want uncertified %q", *res.Certificate, StopQuestions)
+	}
+	if res.Questions > 2 {
+		t.Fatalf("budgeted Solve asked %d questions past a budget of 2", res.Questions)
+	}
+	if res := Solve(NewRH(5), band, k, NewUser(u)); res.Certificate != nil {
+		t.Fatalf("plain Solve returned certificate %+v", *res.Certificate)
+	}
+}
+
 func TestSolveTwoD(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := IslandLike(rng, 500)

@@ -1,13 +1,9 @@
 package ist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
-
-	"ist/internal/core"
 )
 
 // Session drives an interactive algorithm one question at a time, inverting
@@ -28,14 +24,17 @@ import (
 //	fmt.Println(s.Result())
 //
 // Sessions must be finished (Next returning done, or Close) to release the
-// underlying goroutine.
+// underlying goroutine. NewSession and ResumeSession take the same options
+// as Solve: WithBudget bounds the dialogue and makes Certificate available
+// once it ends, and WithObserver traces it.
 //
 // Fault tolerance: a panic inside the algorithm goroutine does not crash the
 // process and does not strand the caller. The panic is recovered, the session
 // enters a terminal error state, Next reports done, and Answer/Result return
-// the error, available from Err. Every answered question is also appended to
-// an answer log (AnswerLog) — together with the algorithm's name and seed
-// this is enough to rebuild the session deterministically via ResumeSession.
+// the error, available from Err (a budgeted session instead finishes with a
+// best-effort result). Every answered question is also appended to an
+// answer log (AnswerLog) — together with the algorithm's name and seed this
+// is enough to rebuild the session deterministically via ResumeSession.
 //
 // Concurrency: one goroutine drives Next/Answer/Result at a time, but Close
 // may be called concurrently from any goroutine (e.g. an expiry reaper); a
@@ -59,8 +58,7 @@ type Session struct {
 	log     []bool
 	closed  bool
 	err     error
-	cert    Certificate
-	hasCert bool
+	cert    *Certificate
 }
 
 type sessionQuestion struct {
@@ -100,77 +98,13 @@ func (o sessionOracle) Questions() int { return o.s.Questions() }
 // session early; recovered at the goroutine top.
 type sessionClosed struct{}
 
-// SessionOption configures a session built by NewSessionContext.
-type SessionOption func(*sessionConfig)
-
-type sessionConfig struct {
-	budget   Budget
-	observer Observer
-}
-
-// WithBudget runs the session's algorithm under the given anytime budget:
-// on exhaustion the session finishes with a best-effort result and an
-// uncertified Certificate instead of asking more questions.
-func WithBudget(b Budget) SessionOption {
-	return func(c *sessionConfig) { c.budget = b }
-}
-
-// WithMaxQuestions caps how many questions the session may ask.
-func WithMaxQuestions(n int) SessionOption {
-	return func(c *sessionConfig) { c.budget.MaxQuestions = n }
-}
-
-// WithDeadline stops the session once the clock reaches t. Combine with
-// WithClock to control which clock; defaults to the wall clock.
-func WithDeadline(t time.Time) SessionOption {
-	return func(c *sessionConfig) { c.budget.Deadline = t }
-}
-
-// WithClock injects the time source for deadline checks (tests, replay).
-func WithClock(clk Clock) SessionOption {
-	return func(c *sessionConfig) { c.budget.Clock = clk }
-}
-
-// WithObserver attaches a trace observer to the session's algorithm (see
-// Observe). It is ignored for algorithms that do not support tracing.
-// Observation is passive: the question sequence, answers and result are
-// bit-identical with and without an observer.
-func WithObserver(o Observer) SessionOption {
-	return func(c *sessionConfig) { c.observer = o }
-}
-
 // NewSession starts an interactive session for the algorithm on the given
 // (preprocessed) points. The algorithm begins computing immediately; the
 // first Next call may therefore take as long as the algorithm's setup
-// (partitioning, convex points, ...).
-func NewSession(alg Algorithm, points []Point, k int) *Session {
-	return NewSessionContext(context.Background(), alg, points, k)
-}
-
-// NewSessionContext is NewSession under a context and anytime options. A
-// cancelable context (one whose Done channel is non-nil) or any budget
-// option makes the session budgeted: the algorithm checks the budget at
-// every question boundary and inside its heavy loops, and when it runs out —
-// questions, deadline, or cancellation — the session finishes cleanly with
-// a best-effort result and a Certificate (see Certificate) instead of
-// hanging or erroring. A background context with no options behaves exactly
-// like NewSession, certificates included only when the algorithm finished
-// by its own stopping rule.
-//
-// A budgeted session also absorbs algorithm panics into best-effort results
-// (Reason "panic-recovered") rather than entering the error state —
-// anytime means the user always gets a point.
-func NewSessionContext(ctx context.Context, alg Algorithm, points []Point, k int, opts ...SessionOption) *Session {
-	var cfg sessionConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if ctx != nil && ctx.Done() != nil {
-		cfg.budget.Ctx = ctx
-	}
-	if cfg.observer != nil {
-		Observe(alg, cfg.observer)
-	}
+// (partitioning, convex points, ...). Only a session started WithBudget
+// reports a Certificate.
+func NewSession(alg Algorithm, points []Point, k int, opts ...Option) *Session {
+	cfg := configure(alg, opts)
 	s := &Session{
 		questions: make(chan sessionQuestion),
 		answers:   make(chan bool),
@@ -193,16 +127,10 @@ func NewSessionContext(ctx context.Context, alg Algorithm, points []Point, k int
 				close(s.errSig)
 			}
 		}()
-		var idx int
-		if cfg.budget.Active() {
-			var cert Certificate
-			idx, cert = core.RunBudgeted(alg, points, k, sessionOracle{s: s}, cfg.budget)
-			s.mu.Lock()
-			s.cert, s.hasCert = cert, true
-			s.mu.Unlock()
-		} else {
-			idx = alg.Run(points, k, sessionOracle{s: s})
-		}
+		idx, cert := run(alg, points, k, sessionOracle{s: s}, cfg.budget)
+		s.mu.Lock()
+		s.cert = cert
+		s.mu.Unlock()
 		select {
 		case s.result <- idx:
 		case <-s.closeSig:
@@ -293,10 +221,10 @@ func (s *Session) Questions() int {
 func (s *Session) Certificate() (Certificate, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.done || !s.hasCert {
+	if !s.done || s.cert == nil {
 		return Certificate{}, false
 	}
-	return s.cert, true
+	return *s.cert, true
 }
 
 // Err reports the terminal error of a failed session (an algorithm panic),

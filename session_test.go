@@ -402,7 +402,7 @@ func TestSessionBudgetMaxQuestions(t *testing.T) {
 	band := Preprocess(ds.Points, k)
 	hidden := RandomUtility(rng, 4)
 
-	s := NewSessionContext(context.Background(), NewRH(5), band, k, WithMaxQuestions(2))
+	s := NewSession(NewRH(5), band, k, WithBudget(Budget{MaxQuestions: 2}))
 	defer s.Close()
 	if _, ok := s.Certificate(); ok {
 		t.Fatal("certificate available before the session finished")
@@ -451,7 +451,7 @@ func TestSessionContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := NewSessionContext(ctx, NewRH(8), band, k)
+	s := NewSession(NewRH(8), band, k, WithBudget(Budget{Ctx: ctx}))
 	defer s.Close()
 	if _, _, done := s.Next(); !done {
 		t.Fatal("canceled session still asks questions")
@@ -473,7 +473,8 @@ func TestSessionContextCancel(t *testing.T) {
 
 // TestSessionUnbudgetedHasNoCertificate pins the compatibility contract: a
 // plain NewSession is not budgeted, reproduces the historical behaviour, and
-// reports no certificate.
+// reports no certificate — and neither does a budget whose only field is a
+// context that can never be canceled.
 func TestSessionUnbudgetedHasNoCertificate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ds := AntiCorrelated(rng, 200, 3)
@@ -481,20 +482,25 @@ func TestSessionUnbudgetedHasNoCertificate(t *testing.T) {
 	band := Preprocess(ds.Points, k)
 	hidden := RandomUtility(rng, 3)
 
-	s := NewSession(NewRH(4), band, k)
-	defer s.Close()
-	for {
-		p, q, done := s.Next()
-		if done {
-			break
+	for name, opts := range map[string][]Option{
+		"plain":              nil,
+		"background-context": {WithBudget(Budget{Ctx: context.Background()})},
+	} {
+		s := NewSession(NewRH(4), band, k, opts...)
+		for {
+			p, q, done := s.Next()
+			if done {
+				break
+			}
+			s.Answer(hidden.Dot(p) >= hidden.Dot(q))
 		}
-		s.Answer(hidden.Dot(p) >= hidden.Dot(q))
-	}
-	if _, _, err := s.Result(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Certificate(); ok {
-		t.Fatal("unbudgeted session produced a certificate")
+		if _, _, err := s.Result(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, ok := s.Certificate(); ok {
+			t.Fatalf("%s: unbudgeted session produced a certificate", name)
+		}
+		s.Close()
 	}
 }
 
@@ -509,7 +515,7 @@ func TestSessionBudgetedPanicIsAbsorbed(t *testing.T) {
 	hidden := RandomUtility(rng, 3)
 
 	alg := &faultinject.Algorithm{Inner: NewRH(6), Plan: faultinject.Plan{PanicAt: 2}}
-	s := NewSessionContext(context.Background(), alg, band, k, WithMaxQuestions(64))
+	s := NewSession(alg, band, k, WithBudget(Budget{MaxQuestions: 64}))
 	defer s.Close()
 	for {
 		p, q, done := s.Next()

@@ -1,7 +1,6 @@
 package ist
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -47,17 +46,12 @@ func LoadTranscript(r io.Reader) (*Transcript, error) { return oracle.LoadTransc
 // This is the crash-recovery primitive behind the HTTP server's session
 // store: persist (algorithm, seed, answers), and after a restart resume
 // every in-flight session without re-asking the user anything.
-func ResumeSession(alg Algorithm, points []Point, k int, answers []bool) (*Session, error) {
-	return ResumeSessionContext(context.Background(), alg, points, k, answers)
-}
-
-// ResumeSessionContext is ResumeSession for budgeted sessions: the rebuilt
-// session runs under the same context and options a NewSessionContext call
-// would. Budget checks consume no randomness, so a budgeted algorithm
-// re-asks exactly the questions an unbudgeted one would — recorded answer
-// logs replay cleanly across both.
-func ResumeSessionContext(ctx context.Context, alg Algorithm, points []Point, k int, answers []bool, opts ...SessionOption) (*Session, error) {
-	s := NewSessionContext(ctx, alg, points, k, opts...)
+//
+// The options are those of NewSession. Budget checks consume no randomness,
+// so a budgeted algorithm re-asks exactly the questions an unbudgeted one
+// would — recorded answer logs replay cleanly across both.
+func ResumeSession(alg Algorithm, points []Point, k int, answers []bool, opts ...Option) (*Session, error) {
+	s := NewSession(alg, points, k, opts...)
 	for i, ans := range answers {
 		if _, _, done := s.Next(); done {
 			err := s.Err()
