@@ -56,6 +56,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *want > 1 && (*maxQ > 0 || *timeout > 0) {
+		fmt.Fprintln(os.Stderr, "istcli: -want > 1 does not support -max-questions or -timeout")
+		os.Exit(1)
+	}
 	if *server != "" {
 		if *storeDir != "" || *load != "" || *want > 1 {
 			fmt.Fprintln(os.Stderr, "istcli: -server is incompatible with -store-dir, -load and -want (the server owns the dataset and transcript)")

@@ -135,11 +135,11 @@ func sameRun(t *testing.T, name string, want, got runRecord) {
 	}
 }
 
-// TestParallelismTranscriptInvariant runs every algorithm in several
+// TestConcurrentSessionsTranscriptInvariant runs every algorithm in several
 // sessions at once and checks each against a lone run: sessions on a server
 // run in parallel and share the solver's pooled scratch, so no state may
 // leak from one session's LP solves into another's.
-func TestParallelismTranscriptInvariant(t *testing.T) {
+func TestConcurrentSessionsTranscriptInvariant(t *testing.T) {
 	freezeLPClockFacade(t)
 	rng := rand.New(rand.NewSource(11))
 	ds := AntiCorrelated(rng, 300, 5)
@@ -172,11 +172,11 @@ func TestParallelismTranscriptInvariant(t *testing.T) {
 	}
 }
 
-// TestParallelismBudgetExhaustionInvariant repeats the check under a
+// TestConcurrentSessionsBudgetExhaustionInvariant repeats the check under a
 // question budget tight enough to force the degradation ladder: the stop
 // probe sequence, the degradation events, and the uncertified outcome of
 // every concurrent session must match a lone run exactly.
-func TestParallelismBudgetExhaustionInvariant(t *testing.T) {
+func TestConcurrentSessionsBudgetExhaustionInvariant(t *testing.T) {
 	freezeLPClockFacade(t)
 	rng := rand.New(rand.NewSource(13))
 	ds := AntiCorrelated(rng, 300, 5)

@@ -6,7 +6,6 @@ import (
 	"ist/internal/geom"
 	"ist/internal/obs"
 	"ist/internal/oracle"
-	"ist/internal/polytope"
 	"ist/internal/prep"
 )
 
@@ -17,27 +16,8 @@ import (
 // refines its partitioning with deeper convex-point layers (the V_d set)
 // once a single partition remains.
 
-// lemma55Multi returns up to want point indices that are guaranteed top-k
-// w.r.t. every utility vector of the region spanned by rVerts, and whether
-// at least want such points exist among the probe's top-k candidates.
-func lemma55Multi(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) ([]int, bool) {
-	if len(rVerts) == 0 {
-		return nil, false
-	}
-	var qualified []int
-	for _, i := range oracle.TopK(points, probe, k) {
-		if countPossibleBeaters(points, i, rVerts, k) < k {
-			qualified = append(qualified, i)
-			if len(qualified) >= want {
-				return qualified, true
-			}
-		}
-	}
-	return qualified, false
-}
-
 // RHMulti is RH with the modified stopping condition (RH-AllTopK /
-// RH-SomeTopK of Section 6.5).
+// RH-SomeTopK of Section 6.5); it runs RH's own loop, rhRun.
 type RHMulti struct {
 	opt RHOptions
 }
@@ -55,7 +35,7 @@ func (a *RHMulti) SetObserver(o obs.Observer) { a.opt.Observer = o }
 
 // RunMulti implements MultiAlgorithm.
 func (a *RHMulti) RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) []int {
-	return a.runMulti(points, k, want, o, obsTracker(a.opt.Observer))
+	return rhRun(a.opt, points, k, want, o, obsTracker(a.opt.Observer))
 }
 
 // RunMultiBudgeted implements BudgetedMulti. On exhaustion it returns the
@@ -63,96 +43,9 @@ func (a *RHMulti) RunMulti(points []geom.Vector, k, want int, o oracle.Oracle) [
 func (a *RHMulti) RunMultiBudgeted(points []geom.Vector, k, want int, o oracle.Oracle, b Budget) (idx []int, cert Certificate) {
 	tr := newTracker(b, a.opt.strategy(), a.opt.StopCheckEvery, a.opt.Observer)
 	defer tr.rescueMulti(points, k, want, &idx, &cert)
-	idx = a.runMulti(points, k, want, o, tr)
+	idx = rhRun(a.opt, points, k, want, o, tr)
 	cert = tr.certificate(points, k)
 	return idx, cert
-}
-
-// bestEffortRegionMulti finishes a budget-exhausted multi run on R.
-func bestEffortRegionMulti(points []geom.Vector, want int, R *polytope.Polytope, tr *tracker) []int {
-	verts := R.Vertices()
-	if len(verts) == 0 {
-		tr.finish(false, tr.stopReason(), nil)
-		return oracle.TopK(points, uniformUtility(len(points[0])), want)
-	}
-	tr.finish(false, tr.stopReason(), verts)
-	return oracle.TopK(points, R.Center(), want)
-}
-
-func (a *RHMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
-	if want > k {
-		panic(fmt.Sprintf("core: want %d > k %d", want, k))
-	}
-	n := len(points)
-	d := len(points[0])
-	rng := a.opt.Rng
-	R := polytope.NewSimplex(d)
-	perm := rng.Perm(n)
-
-	strat := a.opt.strategy()
-
-	i := 1
-	for {
-		if tr.exhausted() {
-			return bestEffortRegionMulti(points, want, R, tr)
-		}
-		tr.maybeDegrade()
-		if tr != nil && tr.active {
-			strat = tr.strategy
-		}
-		verts := R.Vertices()
-		if len(verts) == 0 {
-			tr.finish(false, StopDegenerate, nil)
-			return oracle.TopK(points, uniformUtility(d), want)
-		}
-		probe := R.Sample(rng)
-		tr.observe(probe, verts)
-		res, resOK := lemma55Multi(points, k, verts, probe, want)
-		tr.stopCheck(resOK)
-		if resOK {
-			tr.finish(true, StopConverged, verts)
-			return res
-		}
-
-		center := R.Center()
-		tr.observe(center, nil)
-		bestJ, bestDist := -1, 0.0
-		for {
-			for j := 0; j < i; j++ {
-				if tr.exhausted() {
-					return bestEffortRegionMulti(points, want, R, tr)
-				}
-				h := geom.NewHyperplane(points[perm[i]], points[perm[j]])
-				if h.Degenerate() {
-					continue
-				}
-				if R.ClassifyWith(h, strat, nil) != polytope.ClassIntersect {
-					continue
-				}
-				if dist := h.Distance(center); bestJ < 0 || dist < bestDist {
-					bestJ, bestDist = j, dist
-				}
-			}
-			if bestJ >= 0 {
-				break
-			}
-			i++
-			if i >= n {
-				// Ranking fixed over R: the top-k at the centre is exact.
-				tr.finish(true, StopConverged, R.Vertices())
-				return oracle.TopK(points, center, want)
-			}
-		}
-		pi, pj := points[perm[i]], points[perm[bestJ]]
-		h := geom.NewHyperplane(pi, pj)
-		tr.ask(perm[i], perm[bestJ])
-		ans := o.Prefer(pi, pj)
-		if !ans {
-			h = h.Flip()
-		}
-		tr.question(perm[i], perm[bestJ], ans)
-		R.CutObserved(h, tr.observer())
-	}
 }
 
 // HDPIMulti is HD-PI with the modified stopping condition and the V_d
@@ -259,7 +152,7 @@ func (a *HDPIMulti) runMulti(points []geom.Vector, k, want int, o oracle.Oracle,
 		verts := allVertices(C)
 		probe := C[rng.Intn(len(C))].poly.Sample(rng)
 		tr.observe(probe, verts)
-		res, resOK := lemma55Multi(points, k, verts, probe, want)
+		res, resOK := lemma55(points, k, verts, probe, want)
 		tr.stopCheck(resOK)
 		if resOK {
 			tr.finish(true, StopConverged, verts)

@@ -183,11 +183,11 @@ func (a *HDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) in
 			probe := C[rng.Intn(len(C))].poly.Sample(rng)
 			lastProbe = probe
 			tr.observe(probe, verts)
-			p, ok := lemma55(points, k, verts, probe)
+			res, ok := lemma55(points, k, verts, probe, 1)
 			tr.stopCheck(ok)
 			if ok {
 				tr.finish(true, StopConverged, verts)
-				return p
+				return res[0]
 			}
 		}
 		round++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ist/internal/geom"
@@ -67,7 +68,7 @@ func (a *RH) SetObserver(o obs.Observer) { a.opt.Observer = o }
 
 // Run implements Algorithm.
 func (a *RH) Run(points []geom.Vector, k int, o oracle.Oracle) int {
-	return a.run(points, k, o, obsTracker(a.opt.Observer))
+	return rhRun(a.opt, points, k, 1, o, obsTracker(a.opt.Observer))[0]
 }
 
 // RunBudgeted implements Budgeted. On exhaustion it returns the top-1 at
@@ -76,39 +77,45 @@ func (a *RH) Run(points []geom.Vector, k int, o oracle.Oracle) int {
 func (a *RH) RunBudgeted(points []geom.Vector, k int, o oracle.Oracle, b Budget) (idx int, cert Certificate) {
 	tr := newTracker(b, a.opt.strategy(), a.opt.StopCheckEvery, a.opt.Observer)
 	defer tr.rescue(points, k, &idx, &cert)
-	idx = a.run(points, k, o, tr)
+	idx = rhRun(a.opt, points, k, 1, o, tr)[0]
 	cert = tr.certificate(points, k)
 	return idx, cert
 }
 
 // bestEffortRegion finishes a budget-exhausted run on the single polytope R:
-// the answer is the top-1 at R's centre, the certificate's candidate count
-// is computed over R's vertices.
-func bestEffortRegion(points []geom.Vector, R *polytope.Polytope, tr *tracker) int {
+// the answer is the top-want at R's centre, the certificate's candidate
+// count is computed over R's vertices.
+func bestEffortRegion(points []geom.Vector, want int, R *polytope.Polytope, tr *tracker) []int {
 	verts := R.Vertices()
 	if len(verts) == 0 {
 		tr.finish(false, tr.stopReason(), nil)
-		return argmaxAt(points, uniformUtility(len(points[0])))
+		return oracle.TopK(points, uniformUtility(len(points[0])), want)
 	}
 	tr.finish(false, tr.stopReason(), verts)
-	return argmaxAt(points, R.Center())
+	return oracle.TopK(points, R.Center(), want)
 }
 
-func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int {
+// rhRun is RH's loop. It returns want point indices once that many fulfil
+// Lemma 5.5 over R: want = 1 is RH itself, want > 1 is RH-SomeTopK
+// (Section 6.5.2), whose only change to RH is this stopping condition.
+func rhRun(opt RHOptions, points []geom.Vector, k, want int, o oracle.Oracle, tr *tracker) []int {
+	if want > k {
+		panic(fmt.Sprintf("core: want %d > k %d", want, k))
+	}
 	n := len(points)
 	d := len(points[0])
-	rng := a.opt.Rng
+	rng := opt.Rng
 	R := polytope.NewSimplex(d)
 	perm := rng.Perm(n)
 
-	strat := a.opt.strategy()
-	stopEvery := a.opt.StopCheckEvery
+	strat := opt.strategy()
+	stopEvery := opt.StopCheckEvery
 
 	i := 1 // current ladder position: H_i holds hyperplanes (perm[i], perm[j<i])
 	round := 0
 	for {
 		if tr.exhausted() {
-			return bestEffortRegion(points, R, tr)
+			return bestEffortRegion(points, want, R, tr)
 		}
 		tr.maybeDegrade()
 		if tr != nil && tr.active {
@@ -120,15 +127,15 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 			if len(verts) == 0 {
 				// Only with an erring user: contradictory cuts emptied R.
 				tr.finish(false, StopDegenerate, nil)
-				return argmaxAt(points, uniformUtility(d))
+				return oracle.TopK(points, uniformUtility(d), want)
 			}
 			probe := R.Sample(rng)
 			tr.observe(probe, verts)
-			p, ok := lemma55(points, k, verts, probe)
+			res, ok := lemma55(points, k, verts, probe, want)
 			tr.stopCheck(ok)
 			if ok {
 				tr.finish(true, StopConverged, verts)
-				return p
+				return res
 			}
 		}
 		round++
@@ -143,7 +150,7 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 		for {
 			for j := 0; j < i; j++ {
 				if tr.exhausted() {
-					return bestEffortRegion(points, R, tr)
+					return bestEffortRegion(points, want, R, tr)
 				}
 				h := geom.NewHyperplane(points[perm[i]], points[perm[j]])
 				if h.Degenerate() {
@@ -162,10 +169,10 @@ func (a *RH) run(points []geom.Vector, k int, o oracle.Oracle, tr *tracker) int 
 			i++
 			if i >= n {
 				// Stopping condition 3: no pair hyperplane intersects R, so
-				// the ranking of all points is fixed over R; the top-1 at
+				// the ranking of all points is fixed over R; the top-want at
 				// R's centre is certainly among the top-k.
 				tr.finish(true, StopConverged, R.Vertices())
-				return argmaxAt(points, center)
+				return oracle.TopK(points, center, want)
 			}
 		}
 

@@ -187,10 +187,10 @@ func (a *RobustHDPI) run(points []geom.Vector, k int, o oracle.Oracle, tr *track
 		}
 		probe = probe.Scale(1 / wsum)
 		tr.observe(probe, nil)
-		p, ok := lemma55(points, k, verts, probe)
+		res, ok := lemma55(points, k, verts, probe, 1)
 		tr.stopCheck(ok)
 		if ok {
-			return p, verts, true
+			return res[0], verts, true
 		}
 		if strict {
 			return 0, verts, false

@@ -7,23 +7,29 @@ import (
 
 // lemma55 implements stopping condition 2 (Lemma 5.5): given the vertices of
 // the current utility range R and a probe utility vector u inside R, it
-// checks whether one of the top-k points w.r.t. u is guaranteed to be among
-// the top-k for every utility vector in R. A point p_j can displace p_i only
+// checks which of the top-k points w.r.t. u are guaranteed to be among the
+// top-k for every utility vector in R. A point p_j can displace p_i only
 // if some u' in R has u'·p_j > u'·p_i, i.e. some vertex of R lies strictly
 // above the hyperplane h_{j,i}; if fewer than k points can displace p_i,
 // p_i is certainly top-k.
 //
-// It returns the qualifying point's index and true, or (0, false).
-func lemma55(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector) (int, bool) {
+// It returns up to want qualifying point indices, in the probe's ranking
+// order, and whether want of them exist. The single-answer algorithms pass
+// want = 1; the SomeTopK variants of Section 6.5 pass their want.
+func lemma55(points []geom.Vector, k int, rVerts []geom.Vector, probe geom.Vector, want int) ([]int, bool) {
 	if len(rVerts) == 0 {
-		return 0, false
+		return nil, false
 	}
+	var qualified []int
 	for _, i := range oracle.TopK(points, probe, k) {
 		if countPossibleBeaters(points, i, rVerts, k) < k {
-			return i, true
+			qualified = append(qualified, i)
+			if len(qualified) >= want {
+				return qualified, true
+			}
 		}
 	}
-	return 0, false
+	return qualified, false
 }
 
 // countPossibleBeaters counts points that strictly beat points[i] somewhere

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -203,6 +204,42 @@ func TestDeleteAfterDoneFinishesOnce(t *testing.T) {
 	defer store.mu.Unlock()
 	if n := store.finishes[st.ID]; n != 1 {
 		t.Fatalf("Finish called %d times for a completed, deleted session; want 1", n)
+	}
+}
+
+// TestStateAfterEndIsNotFound: a request that looked a session up just
+// before a DELETE, the reaper or an eviction ended it must answer 404, as
+// its next lookup would — never the stale question, and never done without
+// a result. A session that had already finished keeps its result.
+func TestStateAfterEndIsNotFound(t *testing.T) {
+	srv, _, hidden := newTestServer(t)
+	_, live := do(t, srv, http.MethodPost, "/sessions", map[string]string{"algorithm": "hdpi"})
+	if live.Done {
+		t.Fatal("session finished before its first question")
+	}
+	st := srv.peek(live.ID)
+	srv.end(live.ID, st, true)
+	rec := httptest.NewRecorder()
+	srv.writeState(rec, live.ID, st, http.StatusOK)
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("state of an ended session: %d %s, want 404", rec.Code, rec.Body.String())
+	}
+
+	_, created := do(t, srv, http.MethodPost, "/sessions", nil)
+	final, ok := drive(t, srv, created, hidden)
+	if !ok {
+		t.Fatal("session did not finish")
+	}
+	st = srv.peek(final.ID)
+	srv.end(final.ID, st, true)
+	rec = httptest.NewRecorder()
+	srv.writeState(rec, final.ID, st, http.StatusOK)
+	var got StateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("state of an ended, finished session: %d %s", rec.Code, rec.Body.String())
+	}
+	if !reflect.DeepEqual(got, final) {
+		t.Fatalf("finished state changed after end: %+v vs %+v", got, final)
 	}
 }
 

@@ -157,30 +157,19 @@ type Server struct {
 	reapDone chan struct{}
 }
 
+// sessionState is the server's handle on one session. The dialogue itself
+// (pending question, answers applied, result, certificate, failure) lives
+// only in the ist.Session, read under mu.
 type sessionState struct {
 	mu sync.Mutex // serializes question/answer exchanges per session
 	s  *ist.Session
-	// seq is the sequence number of the pending question — equal to the
-	// number of answers applied so far. An answer must quote it; a quote of
-	// seq-1 is an idempotent replay of the answer already applied (the
-	// current state IS that answer's response, because the dialogue is
-	// strictly sequential), anything else is a conflict. This is what makes
-	// a blind network retry of POST /answer safe.
-	seq int
 	// lastUsed is guarded by Server.mu (not st.mu): it is only touched by
 	// lookup/create/expire, which already hold it.
 	lastUsed time.Time
-	curP     ist.Point
-	curQ     ist.Point
-	done     bool
 	// finished is set by advance once the session completes and its store
 	// record is finished. It is atomic so the session cap can find evictable
 	// sessions under Server.mu without taking each st.mu.
 	finished atomic.Bool
-	failed   error
-	result   ist.Point
-	resultID int
-	cert     *ist.Certificate
 	// questionAt stamps when the pending question was surfaced; the answer
 	// handler turns it into the question-latency observation.
 	questionAt time.Time
@@ -404,7 +393,7 @@ func (srv *Server) rehydrate() error {
 		if srv.opt.WrapAlgorithm != nil {
 			alg = srv.opt.WrapAlgorithm(rec.ID, alg)
 		}
-		st := &sessionState{lastUsed: srv.now(), seq: len(rec.Answers), algName: rec.Algorithm}
+		st := &sessionState{lastUsed: srv.now(), algName: rec.Algorithm}
 		// A rehydrated session roots a fresh trace: the client's original
 		// trace id died with the previous process, and replay spans would
 		// only pollute it anyway.
@@ -418,7 +407,7 @@ func (srv *Server) rehydrate() error {
 		st.s = s
 		srv.sessionsTotal.Inc()
 		srv.advance(rec.ID, st)
-		if st.failed != nil {
+		if st.s.Err() != nil {
 			srv.end(rec.ID, st, true)
 			continue
 		}
@@ -778,9 +767,9 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	srv.advance(id, st)
-	createSp.SetStatus(st.failed)
+	failed := st.s.Err()
+	createSp.SetStatus(failed)
 	createSp.End()
-	failed := st.failed
 	st.mu.Unlock()
 	if failed != nil {
 		srv.end(id, st, true)
@@ -797,7 +786,7 @@ func (srv *Server) handleGet(w http.ResponseWriter, id string) {
 		return
 	}
 	st.mu.Lock()
-	failed := st.failed
+	failed := st.s.Err()
 	st.mu.Unlock()
 	if failed != nil {
 		srv.end(id, st, true)
@@ -859,15 +848,17 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 	// the same question in the same trace.
 	remote, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 	st.mu.Lock()
-	if st.failed != nil {
-		failed := st.failed
+	if failed := st.s.Err(); failed != nil {
 		st.mu.Unlock()
 		srv.end(id, st, true)
 		http.Error(w, "session failed: "+failed.Error(), http.StatusInternalServerError)
 		return
 	}
+	// The pending question's seq is the number of answers applied so far.
+	applied := st.s.Questions()
+	_, _, done := st.s.Next()
 	switch seq := *req.Seq; {
-	case seq == st.seq-1:
+	case seq == applied-1:
 		// Idempotent replay: this answer was already applied, its response
 		// was lost in flight. The session has not moved since (nothing can
 		// advance it but the next seq), so the current state is bit-for-bit
@@ -878,13 +869,13 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		st.mu.Unlock()
 		srv.writeState(w, id, st, http.StatusOK)
 		return
-	case seq != st.seq || st.done:
+	case seq != applied || done:
 		// Stale or future seq (or an answer to a finished session): refuse,
 		// but hand back the authoritative state so the client can resync.
 		srv.seqConflicts.Inc()
 		sp := st.startSpan("conflict", remote,
 			obs.Attr{Key: "quoted", Value: strconv.Itoa(seq)},
-			obs.Attr{Key: "expected", Value: strconv.Itoa(st.seq)})
+			obs.Attr{Key: "expected", Value: strconv.Itoa(applied)})
 		sp.SetStatus(errSeqConflict)
 		sp.End()
 		st.mu.Unlock()
@@ -920,18 +911,10 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 	if err := st.s.Answer(req.Prefer == 1); err != nil {
 		applySp.SetStatus(err)
 		applySp.End()
-		if algErr := st.s.Err(); algErr != nil {
-			st.failed = algErr
-			st.mu.Unlock()
-			srv.end(id, st, true)
-			http.Error(w, "session failed: "+algErr.Error(), http.StatusInternalServerError)
-			return
-		}
 		st.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	st.seq++
 	if !st.questionAt.IsZero() {
 		secs := srv.now().Sub(st.questionAt).Seconds()
 		if ctx := ansSp.Context(); ctx.Valid() {
@@ -942,10 +925,11 @@ func (srv *Server) handleAnswer(w http.ResponseWriter, r *http.Request, id strin
 		}
 	}
 	srv.advance(id, st)
-	applySp.SetStatus(st.failed)
+	failed := st.s.Err()
+	applySp.SetStatus(failed)
 	applySp.End()
-	failed := st.failed
-	exhausted := st.done && st.cert != nil && !st.cert.Certified
+	cert, done := st.s.Certificate()
+	exhausted := done && !cert.Certified
 	st.mu.Unlock()
 	if failed != nil {
 		srv.end(id, st, true)
@@ -969,49 +953,40 @@ func (srv *Server) peek(id string) *sessionState {
 	return srv.sessions[id]
 }
 
-// advance pulls the next question (or the result) into the state, detecting
-// a failed algorithm goroutine. Callers hold st.mu. The lastUsed stamp is
+// advance pulls the session's next step: it stamps a new question's
+// surfacing time, or does a completed session's one-time work (metrics,
+// trace close, store finish). Callers hold st.mu. The lastUsed stamp is
 // maintained by lookup/create under srv.mu (its guardian), not here.
 func (srv *Server) advance(id string, st *sessionState) {
-	p, q, done := st.s.Next()
-	if err := st.s.Err(); err != nil {
-		st.failed = err
+	if _, _, done := st.s.Next(); !done {
+		st.questionAt = srv.now()
 		return
 	}
-	if done {
-		st.done = true
-		if pt, idx, err := st.s.Result(); err == nil {
-			st.result, st.resultID = pt, idx
-		}
-		if cert, ok := st.s.Certificate(); ok {
-			st.cert = &cert
-		}
-		srv.questionsToCertify.Observe(float64(st.s.Questions()))
-		// Distance to theory (DESIGN.md §13): this session's question count
-		// against the paper's 2-d bounds for the instance it ran on.
-		// vs_upper <= 1.0 is a guarantee for 2D-PI (Thm 4.5); for the other
-		// algorithms the labeled gauge is a comparative benchmark.
-		if lower, upper := ist.TheoryBounds(len(srv.points), srv.k); upper > 0 {
-			qs := float64(st.s.Questions())
-			alg := st.algName
-			if alg == "" {
-				alg = "rh"
-			}
-			srv.vsUpper.With(alg).Set(qs / upper)
-			if lower > 0 {
-				srv.vsLower.With(alg).Set(qs / lower)
-			}
-		}
-		srv.closeTrace(st)
-		// Completed sessions need no replay on restart; drop the record.
-		if srv.opt.Store != nil {
-			_ = srv.opt.Store.Finish(id)
-		}
-		st.finished.Store(true)
+	if st.s.Err() != nil {
 		return
 	}
-	st.curP, st.curQ = p, q
-	st.questionAt = srv.now()
+	qs := float64(st.s.Questions())
+	srv.questionsToCertify.Observe(qs)
+	// Distance to theory (DESIGN.md §13): this session's question count
+	// against the paper's 2-d bounds for the instance it ran on.
+	// vs_upper <= 1.0 is a guarantee for 2D-PI (Thm 4.5); for the other
+	// algorithms the labeled gauge is a comparative benchmark.
+	if lower, upper := ist.TheoryBounds(len(srv.points), srv.k); upper > 0 {
+		alg := st.algName
+		if alg == "" {
+			alg = "rh"
+		}
+		srv.vsUpper.With(alg).Set(qs / upper)
+		if lower > 0 {
+			srv.vsLower.With(alg).Set(qs / lower)
+		}
+	}
+	srv.closeTrace(st)
+	// Completed sessions need no replay on restart; drop the record.
+	if srv.opt.Store != nil {
+		_ = srv.opt.Store.Finish(id)
+	}
+	st.finished.Store(true)
 }
 
 // end is the one way a session ends — deleted, failed, expired, evicted,
@@ -1027,11 +1002,12 @@ func (srv *Server) end(id string, st *sessionState, finish bool) {
 		delete(srv.sessions, id)
 	}
 	srv.mu.Unlock()
+	var failed error
 	st.mu.Lock()
 	if st.s != nil {
 		st.s.Close()
+		failed = st.s.Err()
 	}
-	failed := st.failed
 	st.mu.Unlock()
 	if failed != nil {
 		// A failed session is almost always a rescued panic: dump the flight
@@ -1096,17 +1072,28 @@ func (srv *Server) Sessions() int {
 	return len(srv.sessions)
 }
 
+// writeState writes the session's current state. A session that ended
+// without a result after the request looked it up — closed by a DELETE, the
+// reaper or an eviction — answers 404, as its next lookup would.
 func (srv *Server) writeState(w http.ResponseWriter, id string, st *sessionState, code int) {
 	st.mu.Lock()
-	resp := StateResponse{ID: id, Seq: st.seq, Questions: st.s.Questions(), Done: st.done}
-	if st.done {
-		resp.Result = st.result
-		resp.ResultID = st.resultID
-		resp.Certificate = st.cert
+	p, q, done := st.s.Next()
+	n := st.s.Questions()
+	resp := StateResponse{ID: id, Seq: n, Questions: n, Done: done}
+	var err error
+	if done {
+		resp.Result, resp.ResultID, err = st.s.Result()
+		if cert, ok := st.s.Certificate(); ok {
+			resp.Certificate = &cert
+		}
 	} else {
-		resp.Question = &Question{Option1: st.curP, Option2: st.curQ}
+		resp.Question = &Question{Option1: p, Option2: q}
 	}
 	st.mu.Unlock()
+	if err != nil {
+		http.Error(w, "no such session", http.StatusNotFound)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(resp)

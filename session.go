@@ -13,7 +13,9 @@ import (
 // the answer back with Answer. This is how a web service embeds the library
 // without holding a goroutine per user... almost: internally the algorithm
 // still runs on its own goroutine, parked on an unbuffered channel between
-// questions, which costs a few KiB and no CPU while waiting.
+// questions, which costs a few KiB and no CPU while waiting. That goroutine
+// hands the caller one step at a time over a single channel: a question, or
+// the end of the run with its result, certificate or error.
 //
 //	s := ist.NewSession(ist.NewHDPI(1), band, k)
 //	for {
@@ -29,9 +31,9 @@ import (
 // once it ends, and WithObserver traces it.
 //
 // Fault tolerance: a panic inside the algorithm goroutine does not crash the
-// process and does not strand the caller. The panic is recovered, the session
-// enters a terminal error state, Next reports done, and Answer/Result return
-// the error, available from Err (a budgeted session instead finishes with a
+// process and does not strand the caller. The panic is recovered and ends
+// the run: Next reports done, and from then on Err returns the error and
+// Answer/Result return it too (a budgeted session instead finishes with a
 // best-effort result). Every answered question is also appended to an
 // answer log (AnswerLog) — together with the algorithm's name and seed this
 // is enough to rebuild the session deterministically via ResumeSession.
@@ -41,28 +43,27 @@ import (
 // Close racing an in-flight Answer makes Answer return ErrSessionClosed
 // rather than deadlock.
 type Session struct {
-	questions chan sessionQuestion
-	answers   chan bool
-	result    chan int
-	closeSig  chan struct{}
-	errSig    chan struct{}
+	steps    chan step
+	answers  chan bool
+	closeSig chan struct{}
 
 	mu      sync.Mutex
+	last    step // the last step received: the pending question, or the end
 	pending bool
-	curP    Point
-	curQ    Point
-	done    bool
-	resIdx  int
 	points  []Point
-	asked   int
 	log     []bool
 	closed  bool
-	err     error
-	cert    *Certificate
 }
 
-type sessionQuestion struct {
+// step is what the algorithm goroutine hands the caller: a question (p, q),
+// or with end set the end of the run — the result index and certificate, or
+// the error of a panic that ended it.
+type step struct {
 	p, q Point
+	end  bool
+	idx  int
+	cert *Certificate
+	err  error
 }
 
 // ErrNoPendingQuestion is returned by Answer when Next has not produced an
@@ -80,7 +81,7 @@ type sessionOracle struct {
 
 func (o sessionOracle) Prefer(p, q Point) bool {
 	select {
-	case o.s.questions <- sessionQuestion{p: p, q: q}:
+	case o.s.steps <- step{p: p, q: q}:
 	case <-o.s.closeSig:
 		panic(sessionClosed{})
 	}
@@ -95,7 +96,7 @@ func (o sessionOracle) Prefer(p, q Point) bool {
 func (o sessionOracle) Questions() int { return o.s.Questions() }
 
 // sessionClosed aborts the algorithm goroutine when the caller closes the
-// session early; recovered at the goroutine top.
+// session early; recovered in play.
 type sessionClosed struct{}
 
 // NewSession starts an interactive session for the algorithm on the given
@@ -106,37 +107,36 @@ type sessionClosed struct{}
 func NewSession(alg Algorithm, points []Point, k int, opts ...Option) *Session {
 	cfg := configure(alg, opts)
 	s := &Session{
-		questions: make(chan sessionQuestion),
-		answers:   make(chan bool),
-		result:    make(chan int, 1),
-		points:    points,
-		closeSig:  make(chan struct{}),
-		errSig:    make(chan struct{}),
+		steps:    make(chan step),
+		answers:  make(chan bool),
+		points:   points,
+		closeSig: make(chan struct{}),
 	}
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(sessionClosed); ok {
-					return // caller closed the session; swallow
-				}
-				// Isolate the fault: record it and wake any caller parked
-				// in Next/Answer instead of taking the process down.
-				s.mu.Lock()
-				s.err = fmt.Errorf("ist: session algorithm panicked: %v", r)
-				s.mu.Unlock()
-				close(s.errSig)
-			}
-		}()
-		idx, cert := run(alg, points, k, sessionOracle{s: s}, cfg.budget)
-		s.mu.Lock()
-		s.cert = cert
-		s.mu.Unlock()
+		end, closed := s.play(alg, points, k, cfg.budget)
+		if closed {
+			return
+		}
 		select {
-		case s.result <- idx:
+		case s.steps <- end:
 		case <-s.closeSig:
 		}
 	}()
 	return s
+}
+
+// play runs the algorithm to the session's end step, isolating a panic into
+// its error; the panic Close raises in a parked Prefer reports closed.
+func (s *Session) play(alg Algorithm, points []Point, k int, b Budget) (end step, closed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, closed = r.(sessionClosed); !closed {
+				end = step{end: true, err: fmt.Errorf("ist: session algorithm panicked: %v", r)}
+			}
+		}
+	}()
+	idx, cert := run(alg, points, k, sessionOracle{s: s}, b)
+	return step{end: true, idx: idx, cert: cert}, false
 }
 
 // Next returns the next question (two points for the user to compare) or
@@ -145,29 +145,22 @@ func NewSession(alg Algorithm, points []Point, k int, opts ...Option) *Session {
 // without answering returns the same pending question.
 func (s *Session) Next() (p, q Point, done bool) {
 	s.mu.Lock()
-	if s.done || s.closed || s.err != nil {
+	if s.last.end || s.closed {
 		s.mu.Unlock()
 		return nil, nil, true
 	}
 	if s.pending {
-		p, q = s.curP, s.curQ
+		p, q = s.last.p, s.last.q
 		s.mu.Unlock()
 		return p, q, false
 	}
 	s.mu.Unlock()
 	select {
-	case question := <-s.questions:
+	case st := <-s.steps:
 		s.mu.Lock()
-		s.pending, s.curP, s.curQ = true, question.p, question.q
+		s.last, s.pending = st, !st.end
 		s.mu.Unlock()
-		return question.p, question.q, false
-	case idx := <-s.result:
-		s.mu.Lock()
-		s.done, s.resIdx = true, idx
-		s.mu.Unlock()
-		return nil, nil, true
-	case <-s.errSig:
-		return nil, nil, true
+		return st.p, st.q, st.end
 	case <-s.closeSig:
 		return nil, nil, true
 	}
@@ -182,8 +175,7 @@ func (s *Session) Answer(preferFirst bool) error {
 		s.mu.Unlock()
 		return ErrSessionClosed
 	}
-	if s.err != nil {
-		err := s.err
+	if err := s.last.err; err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -192,16 +184,15 @@ func (s *Session) Answer(preferFirst bool) error {
 		return ErrNoPendingQuestion
 	}
 	s.mu.Unlock()
+	// The algorithm goroutine is parked in Prefer waiting for this answer,
+	// so only Close can keep it from taking it.
 	select {
 	case s.answers <- preferFirst:
 	case <-s.closeSig:
 		return ErrSessionClosed
-	case <-s.errSig:
-		return s.Err()
 	}
 	s.mu.Lock()
 	s.pending = false
-	s.asked++
 	s.log = append(s.log, preferFirst)
 	s.mu.Unlock()
 	return nil
@@ -211,7 +202,7 @@ func (s *Session) Answer(preferFirst bool) error {
 func (s *Session) Questions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.asked
+	return len(s.log)
 }
 
 // Certificate returns the anytime certificate of a budgeted session once it
@@ -221,18 +212,18 @@ func (s *Session) Questions() int {
 func (s *Session) Certificate() (Certificate, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.done || s.cert == nil {
+	if !s.last.end || s.last.cert == nil {
 		return Certificate{}, false
 	}
-	return *s.cert, true
+	return *s.last.cert, true
 }
 
 // Err reports the terminal error of a failed session (an algorithm panic),
-// or nil while the session is healthy.
+// or nil for a healthy one. The error is known once Next has reported done.
 func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.err
+	return s.last.err
 }
 
 // AnswerLog returns a copy of every answer given so far, in order. Replaying
@@ -249,28 +240,23 @@ func (s *Session) AnswerLog() []bool {
 func (s *Session) Result() (Point, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil, 0, s.err
+	if s.last.err != nil {
+		return nil, 0, s.last.err
 	}
-	if !s.done {
-		return nil, 0, fmt.Errorf("ist: session still in progress after %d questions", s.asked)
+	if !s.last.end {
+		return nil, 0, fmt.Errorf("ist: session still in progress after %d questions", len(s.log))
 	}
-	return s.points[s.resIdx].Clone(), s.resIdx, nil
+	return s.points[s.last.idx].Clone(), s.last.idx, nil
 }
 
 // Close aborts an in-progress session and releases its goroutine. It is a
-// no-op on a finished or already-closed session and is safe to call
-// concurrently with Next/Answer.
+// no-op on an already-closed session, keeps a finished session's Result, and
+// is safe to call concurrently with Next/Answer.
 func (s *Session) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	stop := !s.done && s.err == nil
-	s.mu.Unlock()
-	if stop {
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
 		close(s.closeSig)
 	}
 }
